@@ -12,7 +12,6 @@ from typing import Any, List
 from repro.analysis import format_table
 from repro.system.config import SystemConfig
 from repro.system.system import KvSystem
-from repro.trace import clear_runs
 
 MODES = ("baseline", "isc_b", "checkin")
 
@@ -25,11 +24,9 @@ def _run_traced(mode: str):
 
 def test_trace_phase_breakdown(benchmark, record_result):
     """Per-configuration checkpoint phase decomposition from the tracer."""
-    clear_runs()
     results = benchmark.pedantic(
         lambda: {mode: _run_traced(mode) for mode in MODES},
         rounds=1, iterations=1)
-    clear_runs()
 
     summaries = {mode: results[mode].trace_summary for mode in MODES}
     phases = sorted({phase for summary in summaries.values()

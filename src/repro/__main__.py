@@ -29,19 +29,20 @@ from repro.experiments.registry import (
 from repro.obs import (
     CKPT_FAMILY,
     blame_table,
-    clear_blame,
     exemplar_table,
     tail_table,
     validate_blame_file,
     write_blame_jsonl,
 )
-from repro.system import SystemConfig, TenantSpec, run_config
+from repro.system import (
+    KvSystem,
+    SystemConfig,
+    TenantSpec,
+    observe,
+    run_config,
+)
 from repro.telemetry import (
     TelemetryConfig,
-    clear_samplers,
-    collected_samplers,
-    disable_telemetry,
-    enable_telemetry,
     events_table,
     health_table,
     summary_table,
@@ -50,11 +51,7 @@ from repro.telemetry import (
 )
 from repro.trace import (
     Tracer,
-    clear_runs,
-    collected_runs,
     component_table,
-    disable_tracing,
-    enable_tracing,
     phase_table,
     queue_split_table,
     summarize,
@@ -85,9 +82,15 @@ def _runs_phase_table(runs: Sequence[Tuple[str, Tracer]]) -> str:
                         title="trace: checkpoint phases per run")
 
 
-def _emit_trace(out: Optional[str]) -> None:
+def _traced_runs(systems: Sequence[KvSystem]) -> List[Tuple[str, Tracer]]:
+    """(label, tracer) of every traced system, for one merged export."""
+    return [(system.label, system.sim.tracer) for system in systems
+            if system.sim.tracer.enabled]
+
+
+def _emit_trace(systems: Sequence[KvSystem], out: Optional[str]) -> None:
     """Print the trace overview and optionally export the Chrome JSON."""
-    runs = collected_runs()
+    runs = _traced_runs(systems)
     if not runs:
         print("[trace: no traced runs collected]", file=sys.stderr)
         return
@@ -99,12 +102,12 @@ def _emit_trace(out: Optional[str]) -> None:
         status = "valid" if not problems else f"{len(problems)} PROBLEMS"
         print(f"\n[trace: {count} events from {len(runs)} run(s) -> {out} "
               f"({status})]")
-    clear_runs()
 
 
-def _emit_telemetry(out: Optional[str]) -> None:
+def _emit_telemetry(systems: Sequence[KvSystem], out: Optional[str]) -> None:
     """Print sampler overviews; optionally dump the JSONL file(s)."""
-    samplers = collected_samplers()
+    samplers = [(system.label, system.telemetry) for system in systems
+                if system.telemetry is not None]
     if not samplers:
         print("[telemetry: no sampled runs collected]", file=sys.stderr)
         return
@@ -126,7 +129,6 @@ def _emit_telemetry(out: Optional[str]) -> None:
             status = "valid" if not problems else \
                 f"{len(problems)} PROBLEMS"
             print(f"[telemetry: {count} records -> {path} ({status})]")
-    clear_samplers()
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -147,21 +149,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
               "is required", file=sys.stderr)
         return 2
     scale = FULL if args.scale == "full" else QUICK
-    if args.trace:
-        clear_runs()
-        enable_tracing()
-    if args.telemetry:
-        clear_samplers()
-        enable_telemetry(TelemetryConfig(
-            interval_ns=parse_duration_ns(args.telemetry_interval)))
+    telemetry = TelemetryConfig(
+        interval_ns=parse_duration_ns(args.telemetry_interval)) \
+        if args.telemetry else None
     started = time.time()
-    try:
+    with observe(trace=args.trace, telemetry=telemetry) as scope:
         result = run_experiment(args.experiment, scale)
-    finally:
-        if args.trace:
-            disable_tracing()
-        if args.telemetry:
-            disable_telemetry()
     elapsed = time.time() - started
     print(result if isinstance(result, str) else result.table())
     for extra in ("comparison_table", "lifetime_table"):
@@ -169,9 +162,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print()
             print(getattr(result, extra)())
     if args.trace:
-        _emit_trace(args.out)
+        _emit_trace(scope.systems, args.out)
     if args.telemetry:
-        _emit_telemetry(args.telemetry_out)
+        _emit_telemetry(scope.systems, args.telemetry_out)
     print(f"\n[{args.experiment} at {scale.name} scale: {elapsed:.1f}s]")
     return 0
 
@@ -286,15 +279,11 @@ def _cmd_trace(args: argparse.Namespace) -> int:
               + ("ok" if not problems else f"{len(problems)} problems"))
         return 1 if problems else 0
     scale = FULL if args.scale == "full" else QUICK
-    clear_runs()
-    enable_tracing()
     started = time.time()
-    try:
+    with observe(trace=True) as scope:
         run_experiment(args.experiment, scale)
-    finally:
-        disable_tracing()
     elapsed = time.time() - started
-    _emit_trace(args.out)
+    _emit_trace(scope.systems, args.out)
     print(f"\n[{args.experiment} traced at {scale.name} scale: "
           f"{elapsed:.1f}s]")
     return 0
@@ -309,7 +298,6 @@ def _cmd_telemetry(args: argparse.Namespace) -> int:
         print(f"{args.validate_file}: "
               + ("ok" if not problems else f"{len(problems)} problems"))
         return 1 if problems else 0
-    clear_samplers()
     kwargs = dict(
         mode=args.mode, workload=args.workload, threads=args.threads,
         total_queries=args.queries, verify_reads=False,
@@ -341,7 +329,6 @@ def _cmd_telemetry(args: argparse.Namespace) -> int:
         exit_code = 1 if problems else 0
     print(f"[{sampler.samples} samples / {len(sampler.series)} series / "
           f"{len(sampler.events)} events; wall {elapsed:.1f}s]")
-    clear_samplers()
     return exit_code
 
 
@@ -361,7 +348,6 @@ def _cmd_blame(args: argparse.Namespace) -> int:
         print(f"{args.validate_file}: "
               + ("ok" if not problems else f"{len(problems)} problems"))
         return 1 if problems else 0
-    clear_blame()
     kwargs = dict(
         mode=args.mode, workload=args.workload, threads=args.threads,
         total_queries=args.queries, verify_reads=False, blame=True,
@@ -407,7 +393,6 @@ def _cmd_blame(args: argparse.Namespace) -> int:
             exit_code = 1
     print(f"[{report.requests} blamed requests / "
           f"{result.checkpoint_count} checkpoints; wall {elapsed:.1f}s]")
-    clear_blame()
     return exit_code
 
 
@@ -445,15 +430,11 @@ def _cmd_incident(args: argparse.Namespace) -> int:
         print(f"[dominant blame stage: {stage or '-'}]")
         return 0
 
-    clear_blame()
-    clear_samplers()
-    clear_runs()
     started = time.time()
-
     if args.kill_at is not None:
-        records, result = _run_pair_incident(args)
+        records, systems = _run_pair_incident(args)
     else:
-        records, result = _run_node_incident(args)
+        records, systems = _run_node_incident(args)
     elapsed = time.time() - started
 
     print(timeline_table(records))
@@ -473,7 +454,7 @@ def _cmd_incident(args: argparse.Namespace) -> int:
         if problems:
             exit_code = 1
     if args.trace_out:
-        count = write_chrome_trace(args.trace_out, collected_runs())
+        count = write_chrome_trace(args.trace_out, _traced_runs(systems))
         document, junk = read_json(args.trace_out)
         problems = junk + resolve_against_trace(records, document)
         for problem in problems:
@@ -493,17 +474,14 @@ def _cmd_incident(args: argparse.Namespace) -> int:
     flights = header.get("flight_events", 0)
     print(f"[{flights} flight events / {header.get('triggers', 0)} "
           f"trigger(s); wall {elapsed:.1f}s]")
-    clear_blame()
-    clear_samplers()
-    clear_runs()
     return exit_code
 
 
-def _run_node_incident(args: argparse.Namespace) -> Tuple[Any, Any]:
+def _run_node_incident(args: argparse.Namespace
+                       ) -> Tuple[Any, List[KvSystem]]:
     """One flight-recorded gated system under a seeded burst storm."""
     from repro.engine.admission import AdmissionConfig
     from repro.obs import incident_records
-    from repro.system import KvSystem
     from repro.workload.arrivals import ArrivalSpec
 
     kwargs = dict(
@@ -527,14 +505,15 @@ def _run_node_incident(args: argparse.Namespace) -> Tuple[Any, Any]:
     for name in args.escalate.split(","):
         if name:
             system.telemetry.watchdogs.escalate(name.strip())
-    result = system.run()
+    system.run()
     records = incident_records(
         system, window_ns=parse_duration_ns(args.window),
         k=args.exemplars)
-    return records, result
+    return records, [system]
 
 
-def _run_pair_incident(args: argparse.Namespace) -> Tuple[Any, Any]:
+def _run_pair_incident(args: argparse.Namespace
+                       ) -> Tuple[Any, List[KvSystem]]:
     """Cross-node incident: kill the primary mid-ship, then promote."""
     from repro.common.rng import SeededRng
     from repro.obs import pair_incident_records
@@ -552,7 +531,7 @@ def _run_pair_incident(args: argparse.Namespace) -> Tuple[Any, Any]:
           f"{report.rto_ns / 1e6:.3f} ms, RPO {report.rpo_ops} ops")
     records = pair_incident_records(
         pair, window_ns=parse_duration_ns(args.window), k=args.exemplars)
-    return records, report
+    return records, [pair.primary, pair.replica]
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
@@ -563,11 +542,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                           threads=args.threads, total_queries=args.queries,
                           distribution=args.distribution,
                           verify_reads=False, trace=args.trace, blame=True)
-    clear_blame()
-    if args.trace:
-        clear_runs()
     started = time.time()
-    result = run_config(config)
+    system = KvSystem(config)
+    result = system.run()
     elapsed = time.time() - started
     metrics = result.metrics
     summary = metrics.summary()
@@ -582,9 +559,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             print()
             print(table(result.trace_summary))
         if args.out:
-            count = write_chrome_trace(args.out, collected_runs())
+            count = write_chrome_trace(args.out, _traced_runs([system]))
             print(f"\n[trace: {count} events -> {args.out}]")
-        clear_runs()
     if not args.no_artifact:
         from repro.analysis.benchfile import (
             bench_artifact,
@@ -618,7 +594,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                                      "knee_sustainable_ops": knee_ops,
                                      "rto_warm_replica_ns": rto_ns}))
         print(f"[bench artifact -> {path}]")
-    clear_blame()
     print(f"\n[wall: {elapsed:.1f}s, simulated: "
           f"{metrics.duration_ns / 1e9:.3f}s, "
           f"{result.ops_per_sec:,.0f} ops/s]")

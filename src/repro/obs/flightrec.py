@@ -11,8 +11,8 @@ bounded so a week-long run costs the same memory as a short one.
 
 Wiring follows the house tracer pattern: ``Simulator.flightrec`` is
 ``None`` by default and every hook guards with ``if fr is not None`` —
-disabled runs allocate nothing and stay byte-identical (the CI
-incident-smoke job asserts this, like the other observability planes).
+disabled runs allocate nothing and stay byte-identical (the shared
+zero-overhead test asserts this for every observability plane).
 
 Event tuples are ``(t_ns, layer, kind, span_id, detail)``:
 
@@ -93,31 +93,3 @@ class FlightRecorder:
 
     def __len__(self) -> int:
         return len(self.events)
-
-
-# ----------------------------------------------------------------------
-# process-wide switch (mirrors the blame/telemetry switches)
-# ----------------------------------------------------------------------
-_GLOBAL_ENABLED = False
-_GLOBAL_CAPACITY = DEFAULT_CAPACITY
-
-
-def enable_flightrec(capacity: int = DEFAULT_CAPACITY) -> None:
-    """Arm the recorder for every subsequently-built ``KvSystem``."""
-    global _GLOBAL_ENABLED, _GLOBAL_CAPACITY
-    _GLOBAL_ENABLED = True
-    _GLOBAL_CAPACITY = capacity
-
-
-def disable_flightrec() -> None:
-    global _GLOBAL_ENABLED, _GLOBAL_CAPACITY
-    _GLOBAL_ENABLED = False
-    _GLOBAL_CAPACITY = DEFAULT_CAPACITY
-
-
-def flightrec_enabled() -> bool:
-    return _GLOBAL_ENABLED
-
-
-def flightrec_capacity() -> int:
-    return _GLOBAL_CAPACITY

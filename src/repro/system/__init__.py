@@ -1,5 +1,6 @@
 """Full-system wiring: configuration, metrics, orchestration."""
 
+from repro.common.scope import observe
 from repro.system.config import (
     DEFAULT_MAPPING_UNITS,
     SystemConfig,
@@ -25,4 +26,5 @@ __all__ = [
     "RunResult",
     "TenantResult",
     "run_config",
+    "observe",
 ]

@@ -22,34 +22,25 @@ path and is bit-identical to the pre-namespace system.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Generator, List, Optional, Union
 
 from repro.common.errors import SimulationError
 from repro.common.rng import SeededRng
+from repro.common.scope import active_scope
 from repro.engine.admission import AdmissionController, AdmissionReport
 from repro.engine.checkpointer import CheckpointReport
 from repro.engine.engine import StorageEngine
-from repro.obs import blame_enabled, register_blame
 from repro.obs.blame import BlameCollector, BlameRunReport
-from repro.obs.flightrec import (
-    FlightRecorder,
-    flightrec_capacity,
-    flightrec_enabled,
-)
+from repro.obs.flightrec import FlightRecorder
 from repro.sim.core import Simulator
 from repro.sim.process import Interrupt, Process, spawn
 from repro.ssd.ssd import Ssd
 from repro.system.config import SystemConfig
 from repro.system.metrics import RunMetrics
-from repro.telemetry import (
-    build_sampler,
-    global_telemetry_config,
-    register_sampler,
-    telemetry_enabled,
-)
-from repro.telemetry.sampler import TelemetryConfig, TelemetrySampler
-from repro.trace import install_tracer, summarize, tracing_enabled
+from repro.telemetry import build_sampler
+from repro.telemetry.sampler import TelemetrySampler
+from repro.trace import Tracer, summarize
 from repro.trace.metrics import TraceSummary
 from repro.workload.arrivals import arrival_times
 from repro.workload.client import (
@@ -168,13 +159,24 @@ class KvSystem:
 
     def __init__(self, config: SystemConfig) -> None:
         config.check_capacity()
+        self.label = config.mode
+        """Run label shared by this system's trace, telemetry and blame
+        exports; uniquified (``checkin#2`` …) inside an observe scope."""
+        scope = active_scope()
+        if scope is not None:
+            config = replace(
+                config, trace=config.trace or scope.trace,
+                telemetry=config.telemetry or scope.telemetry,
+                blame=config.blame or scope.blame,
+                flightrec=config.flightrec or scope.flightrec)
+            self.label = scope.register(self, config.mode)
         self.config = config
         self.sim = Simulator()
-        if config.trace or tracing_enabled():
-            install_tracer(self.sim, label=config.mode)
+        if config.trace:
+            self.sim.tracer = Tracer(self.sim)
         self.flightrec: Optional[FlightRecorder] = None
-        if config.flightrec or flightrec_enabled():
-            self.flightrec = FlightRecorder(flightrec_capacity())
+        if config.flightrec:
+            self.flightrec = FlightRecorder()
             self.sim.flightrec = self.flightrec
         self.ssd = Ssd(self.sim, config.ssd_spec())
         self.metrics = RunMetrics(self.sim, self.ssd.stats)
@@ -216,20 +218,17 @@ class KvSystem:
         single-tenant path (kept as an attribute for compatibility)."""
         self.size_model = self.tenants[0].size_model
         self.blame_report: Optional[BlameRunReport] = None
-        if config.blame or blame_enabled():
+        if config.blame:
             for tenant in self.tenants:
                 tenant.blame = BlameCollector(tenant.name)
-            self.blame_report = register_blame(
-                config.mode,
-                [(tenant.name, tenant.blame) for tenant in self.tenants])
+            self.blame_report = BlameRunReport(
+                label=self.label,
+                tenants=[(tenant.name, tenant.blame)
+                         for tenant in self.tenants])
         self.telemetry: Optional[TelemetrySampler] = None
-        if config.telemetry is not None or telemetry_enabled():
-            telemetry_config = (config.telemetry or
-                                global_telemetry_config() or
-                                TelemetryConfig())
-            self.telemetry = build_sampler(self, telemetry_config,
-                                           label=config.mode)
-            register_sampler(config.mode, self.telemetry)
+        if config.telemetry is not None:
+            self.telemetry = build_sampler(self, config.telemetry,
+                                           label=self.label)
             if self.blame_report is not None:
                 # SLO-watchdog events get stamped with the dominant blame
                 # category observed so far — "the SLO broke, and here is

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from repro.common.rng import SeededRng
 from repro.fault import power_cut
 from repro.flash.media import MediaErrorConfig
-from repro.obs import CATEGORIES, clear_blame
+from repro.obs import CATEGORIES
 from repro.system import KvSystem, TenantSpec, run_config, tiny_config
 
 
@@ -50,12 +50,10 @@ class TestConservationProperty:
            tenant_count=st.integers(min_value=1, max_value=3))
     def test_conservation_across_modes_and_tenants(self, seed, mode,
                                                    tenant_count):
-        clear_blame()
         tenants = tuple(TenantSpec() for _ in range(tenant_count)) \
             if tenant_count > 1 else None
         result = run_config(blamed_config(mode=mode, seed=seed,
                                           tenants=tenants))
-        clear_blame()
         assert_all_conserved(result.blame)
 
     @settings(max_examples=6, deadline=None,
@@ -66,12 +64,10 @@ class TestConservationProperty:
     def test_conservation_with_media_errors(self, seed, rate, mode):
         """Retries and backoff divert time into ``media_retry`` — the
         diverted windows must still tile the request exactly."""
-        clear_blame()
         result = run_config(blamed_config(
             mode=mode, seed=seed,
             media=MediaErrorConfig(enabled=True, read_uecc_base=rate,
                                    program_fail_base=rate)))
-        clear_blame()
         assert_all_conserved(result.blame)
 
 
@@ -79,7 +75,6 @@ class TestCrashConservation:
     def test_records_finalized_before_power_cut_are_conserved(self):
         """Kill the run mid-flight: every ledger recorded up to the cut
         conserves; in-flight requests never produce partial records."""
-        clear_blame()
         system = KvSystem(blamed_config(mode="checkin", workload="A",
                                         seed=11, total_queries=5_000))
         system.load()
@@ -93,7 +88,6 @@ class TestCrashConservation:
             assert system.sim.step(), "simulation starved"
         assert not done.triggered, "crash must land mid-run"
         power_cut(system, SeededRng(23))
-        clear_blame()
         assert collector.requests >= 300
         for total_ns, op, key, _ckpt, _span, charges in collector.records:
             assert sum(charges.values()) == total_ns, \

@@ -76,6 +76,24 @@ class TestCommands:
         assert "queue-wait vs service-time" in out
         assert validate_trace_file(str(out_path)) == []
 
+    def test_run_traced_and_sampled_exports_validate(self, tmp_path, capsys):
+        from repro.telemetry import validate_telemetry_file
+        from repro.trace import validate_trace_file
+        trace_path = tmp_path / "run.json"
+        telemetry_path = tmp_path / "run.jsonl"
+        assert main(["run", "fig3c", "--trace", "--out", str(trace_path),
+                     "--telemetry", "--telemetry-out",
+                     str(telemetry_path)]) == 0
+        assert validate_trace_file(str(trace_path)) == []
+        assert validate_telemetry_file(str(telemetry_path)) == []
+
+    def test_trace_exports_every_scoped_run(self, tmp_path, capsys):
+        assert main(["trace", "fig3c", "--out",
+                     str(tmp_path / "trace.json")]) == 0
+        # fig3c builds one system; its seeded timeline has a fixed size.
+        assert "[trace: 31263 events from 1 run(s)" in \
+            capsys.readouterr().out
+
     def test_telemetry_run_exports_valid_jsonl(self, tmp_path, capsys):
         from repro.telemetry import validate_telemetry_file
         out_path = tmp_path / "telemetry.jsonl"

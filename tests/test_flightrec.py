@@ -1,39 +1,23 @@
-"""The black-box flight recorder: ring semantics, layer hooks, overhead.
+"""The black-box flight recorder: ring semantics and layer hooks.
 
 The recorder is always-on-capable but strictly passive: plain-tuple
 appends into a bounded deque, zero simulated yields.  The tests pin the
 three contracts that make it safe to leave armed in production runs:
 
 * bounded memory (ring wrap + dropped count, capped trigger list);
-* every instrumented layer emits its events when armed, and none of
-  them perturb the simulation (byte-identical counter snapshots);
+* every instrumented layer emits its events when armed (that none of
+  them perturb the simulation is checked in ``test_observe.py``);
 * disabled runs allocate nothing (``sim.flightrec`` stays ``None``).
 """
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from repro.common.units import MS
-from repro.obs import (
-    FlightRecorder,
-    disable_flightrec,
-    enable_flightrec,
-    flightrec_enabled,
-)
-from repro.system import KvSystem, run_config, tiny_config
+from repro.obs import FlightRecorder
+from repro.system import KvSystem, tiny_config
 from repro.telemetry import TelemetryConfig
-
-
-def gated_config(**overrides):
-    """The burst-prone gated scenario every forensics test reuses."""
-    defaults = dict(flightrec=True, trace=True,
-                    lock_queries_during_checkpoint=True,
-                    telemetry=TelemetryConfig(interval_ns=1 * MS))
-    defaults.update(overrides)
-    return tiny_config(**defaults)
 
 
 class TestRecorderRing:
@@ -95,22 +79,14 @@ class TestWiring:
         assert system.flightrec is not None
         assert system.sim.flightrec is system.flightrec
 
-    def test_global_switch_arms_plain_config(self):
-        enable_flightrec(capacity=64)
-        try:
-            assert flightrec_enabled()
-            run = run_config(tiny_config())
-            assert run.flightrec is not None
-            assert run.flightrec.capacity == 64
-        finally:
-            disable_flightrec()
-        assert not flightrec_enabled()
-
 
 class TestLayerHooks:
     @pytest.fixture(scope="class")
     def recorded_run(self):
-        system = KvSystem(gated_config())
+        # The burst-prone gated scenario: checkpoints freeze queries.
+        system = KvSystem(tiny_config(
+            flightrec=True, trace=True, lock_queries_during_checkpoint=True,
+            telemetry=TelemetryConfig(interval_ns=1 * MS)))
         system.run()
         return system
 
@@ -166,23 +142,3 @@ class TestLayerHooks:
         power_cut(system, SeededRng(3).fork("flightrec-test"))
         assert system.flightrec.first_trigger[1] == "crash"
 
-
-class TestZeroOverhead:
-    """Arming the recorder must not move a single simulated byte."""
-
-    def snapshot(self, config):
-        system = KvSystem(config)
-        result = system.run()
-        return json.dumps(
-            [system.ssd.stats.snapshot(),
-             system.ssd.stats.snapshot_bytes(),
-             result.metrics.summary()], sort_keys=True)
-
-    def test_recorder_on_vs_off_byte_identical(self):
-        assert self.snapshot(tiny_config()) == \
-            self.snapshot(tiny_config(flightrec=True))
-
-    def test_recorder_on_vs_off_gated_traced_byte_identical(self):
-        baseline = gated_config(flightrec=False)
-        armed = gated_config()
-        assert self.snapshot(baseline) == self.snapshot(armed)
