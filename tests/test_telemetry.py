@@ -16,7 +16,10 @@ import json
 import pytest
 
 from repro.common.errors import ConfigError
+from repro.common.scope import active_scope
+from repro.common.units import MS
 from repro.sim.core import Simulator
+from repro.system import observe
 from repro.system.config import tiny_config
 from repro.system.system import run_config
 from repro.telemetry import (
@@ -178,6 +181,30 @@ class TestJsonlExport:
         path.write_text("\n".join(lines) + "\n")
         assert any("footer" in p
                    for p in validate_telemetry_file(str(path)))
+
+
+class TestGlobalSwitch:
+    """An ``observe(telemetry=...)`` scope samples systems it did not build."""
+
+    def test_switch_wires_sampler_into_plain_config(self):
+        with observe(telemetry=TelemetryConfig(interval_ns=1 * MS)) as scope:
+            assert active_scope() is scope
+            run = run_config(tiny_config())
+            assert run.telemetry is not None
+            assert run.telemetry.samples > 0
+        assert active_scope() is None
+        labels = [system.label for system in scope.systems]
+        assert labels == [run.config.mode]
+        assert run.telemetry.label == run.config.mode
+
+    def test_labels_are_uniquified(self):
+        with observe(telemetry=TelemetryConfig(interval_ns=1 * MS)) as scope:
+            first = run_config(tiny_config())
+            second = run_config(tiny_config())
+        labels = [system.label for system in scope.systems]
+        assert first.telemetry.label != second.telemetry.label
+        assert labels == [first.telemetry.label, second.telemetry.label]
+        assert len(set(labels)) == len(labels)
 
 
 class TestManualSampler:
