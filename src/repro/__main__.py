@@ -4,16 +4,22 @@ Usage::
 
     python -m repro list
     python -m repro run fig8a [--scale quick|full] [--trace [--out t.json]]
+    python -m repro run --tenants 2 [--arrivals 120000]
     python -m repro bench --mode checkin --workload A --threads 32
-    python -m repro trace fig8 --out trace.json
-    python -m repro trace --validate trace.json
+    python -m repro inspect trace.json
     python -m repro table1
     python -m repro fault-sweep --crash-points 50 --seed 7
+
+Every single-run subcommand builds its ``SystemConfig`` through
+:func:`_config_from_args`, and every export format is checked by
+``inspect`` (which the ``--out`` writers reuse to re-validate).
 """
 
 from __future__ import annotations
 
 import argparse
+import json
+import os
 import sys
 import time
 from typing import Any, List, Optional, Sequence, Tuple
@@ -29,11 +35,21 @@ from repro.experiments.registry import (
 from repro.obs import (
     CKPT_FAMILY,
     blame_table,
+    dominant_stage,
     exemplar_table,
+    incident_records,
+    load_incident_file,
+    pair_incident_records,
+    resolve_against_trace,
     tail_table,
+    timeline_table,
     validate_blame_file,
+    validate_incident_file,
     write_blame_jsonl,
+    write_incident_jsonl,
 )
+from repro.obs.export import SCHEMA as BLAME_SCHEMA
+from repro.obs.incident import SCHEMA as INCIDENT_SCHEMA
 from repro.system import (
     KvSystem,
     SystemConfig,
@@ -49,6 +65,7 @@ from repro.telemetry import (
     validate_telemetry_file,
     write_telemetry_jsonl,
 )
+from repro.telemetry.export import SCHEMA as TELEMETRY_SCHEMA
 from repro.trace import (
     Tracer,
     component_table,
@@ -58,6 +75,153 @@ from repro.trace import (
     validate_trace_file,
     write_chrome_trace,
 )
+
+
+MODES = ("baseline", "isc_a", "isc_b", "isc_c", "checkin")
+
+_RUN_ARGS = {
+    "mode": dict(choices=MODES),
+    "workload": dict(choices=("A", "B", "C", "F", "WO")),
+    "threads": dict(type=int),
+    "queries": dict(type=int),
+    "distribution": dict(choices=("uniform", "zipfian",
+                                  "scrambled_zipfian")),
+    "seed": dict(type=int),
+    "tenants": dict(type=int, metavar="N",
+                    help="N identical tenants sharing one namespaced "
+                         "device instead of the classic run"),
+    "gate": dict(action="store_true",
+                 help="freeze queries during checkpoints (the Figure-10 "
+                      "gated configuration; makes checkpoint stalls "
+                      "visible in the tail)"),
+    "ckpt_interval": dict(metavar="DUR",
+                          help="checkpoint interval in simulated time, "
+                               "e.g. 10ms"),
+    "journal_mib": dict(type=int, metavar="N",
+                        help="journal area size in MiB; smaller areas "
+                             "checkpoint more often"),
+    "interval": dict(metavar="DUR",
+                     help="telemetry sampling interval in simulated "
+                          "time, e.g. 10ms / 500us / 250000"),
+}
+"""Flags :func:`_config_from_args` reads.  Each subcommand adds the
+subset it supports, with its own defaults, through :func:`_add_run_args`."""
+
+_DIRECT_FIELDS = (
+    ("mode", "mode"), ("workload", "workload"), ("threads", "threads"),
+    ("queries", "total_queries"), ("distribution", "distribution"),
+    ("seed", "seed"), ("gate", "lock_queries_during_checkpoint"))
+"""(flag dest, SystemConfig field) pairs copied over unchanged."""
+
+
+def _add_run_args(parser: argparse.ArgumentParser, **defaults: Any) -> None:
+    """Add the named :data:`_RUN_ARGS` flags, each with its default."""
+    for name, default in defaults.items():
+        parser.add_argument("--" + name.replace("_", "-"), default=default,
+                            **_RUN_ARGS[name])
+
+
+def _config_from_args(args: argparse.Namespace, **fixed: Any
+                      ) -> SystemConfig:
+    """The one place a subcommand's flags become a :class:`SystemConfig`.
+
+    Flags the subcommand does not define are skipped; ``fixed`` carries
+    the fields it has no flag for.  ``--tenants N`` means N default
+    tenants on an 8 MiB journal, and an explicit ``--journal-mib M``
+    wins over that journal (its checkpoint quota is M/8).
+    """
+    fields = dict(fixed)
+    for dest, name in _DIRECT_FIELDS:
+        value = getattr(args, dest, None)
+        if value is not None:
+            fields[name] = value
+    tenants = getattr(args, "tenants", None)
+    if tenants is not None:
+        fields["tenants"] = tuple(TenantSpec() for _ in range(tenants))
+        fields["journal_area_bytes"] = 8 * MIB
+    journal_mib = getattr(args, "journal_mib", None)
+    if journal_mib is not None:
+        fields["journal_area_bytes"] = journal_mib * MIB
+        fields["checkpoint_journal_quota"] = journal_mib * MIB // 8
+    ckpt_interval = getattr(args, "ckpt_interval", None)
+    if ckpt_interval is not None:
+        fields["checkpoint_interval_ns"] = parse_duration_ns(ckpt_interval)
+    interval = getattr(args, "interval", None)
+    if interval is not None:
+        fields["telemetry"] = TelemetryConfig(
+            interval_ns=parse_duration_ns(interval))
+    return SystemConfig(**fields)
+
+
+TRACE_FORMAT = "chrome-trace"
+"""The name ``inspect`` gives a Chrome ``trace_event`` JSON export."""
+
+VALIDATORS = {
+    TRACE_FORMAT: validate_trace_file,
+    TELEMETRY_SCHEMA: validate_telemetry_file,
+    BLAME_SCHEMA: validate_blame_file,
+    INCIDENT_SCHEMA: validate_incident_file,
+}
+"""Export format -> validator returning its list of problems."""
+
+
+def _export_format(path: str) -> Tuple[Optional[str], List[str]]:
+    """Which export ``path`` holds: ``(format or None, problems)``.
+
+    A JSON object with a ``traceEvents`` list is a Chrome trace; a JSONL
+    dump is named by the ``schema`` of its header line.
+    """
+    try:
+        with open(path) as handle:
+            text = handle.read()
+    except OSError as exc:
+        return None, [f"cannot read {path}: {exc}"]
+    try:
+        head = json.loads(text)
+    except ValueError:
+        try:
+            head = json.loads(text.lstrip().split("\n", 1)[0])
+        except ValueError:
+            head = None
+    if isinstance(head, dict):
+        if isinstance(head.get("traceEvents"), list):
+            return TRACE_FORMAT, []
+        if head.get("type") == "header" and head.get("schema") in VALIDATORS:
+            return head["schema"], []
+    return None, [f"unknown format (expected one of: "
+                  f"{', '.join(VALIDATORS)})"]
+
+
+def _validate(path: str) -> Tuple[Optional[str], List[str]]:
+    """Validate any export by its format, printing each problem."""
+    kind, problems = _export_format(path)
+    if kind is not None:
+        problems = VALIDATORS[kind](path)
+    for problem in problems:
+        print(f"INVALID: {problem}", file=sys.stderr)
+    return kind, problems
+
+
+def _report_export(written: str, path: str) -> int:
+    """Re-validate a just-written export; print its status line."""
+    _kind, problems = _validate(path)
+    status = "valid" if not problems else f"{len(problems)} problems"
+    print(f"[{written} -> {path} ({status})]")
+    return 1 if problems else 0
+
+
+def _cmd_inspect(args: argparse.Namespace) -> int:
+    """Validate any export; replay an incident bundle's timeline."""
+    kind, problems = _validate(args.file)
+    print(f"{args.file}: "
+          + (f"{kind} ok" if not problems else f"{len(problems)} problems"))
+    if problems:
+        return 1
+    if kind == INCIDENT_SCHEMA:
+        records = load_incident_file(args.file)
+        print(timeline_table(records))
+        print(f"[dominant blame stage: {dominant_stage(records) or '-'}]")
+    return 0
 
 
 def _cmd_list(_args: argparse.Namespace) -> int:
@@ -88,29 +252,29 @@ def _traced_runs(systems: Sequence[KvSystem]) -> List[Tuple[str, Tracer]]:
             if system.sim.tracer.enabled]
 
 
-def _emit_trace(systems: Sequence[KvSystem], out: Optional[str]) -> None:
+def _emit_trace(systems: Sequence[KvSystem], out: Optional[str]) -> int:
     """Print the trace overview and optionally export the Chrome JSON."""
     runs = _traced_runs(systems)
     if not runs:
         print("[trace: no traced runs collected]", file=sys.stderr)
-        return
+        return 0
     print()
     print(_runs_phase_table(runs))
-    if out:
-        count = write_chrome_trace(out, runs)
-        problems = validate_trace_file(out)
-        status = "valid" if not problems else f"{len(problems)} PROBLEMS"
-        print(f"\n[trace: {count} events from {len(runs)} run(s) -> {out} "
-              f"({status})]")
+    if not out:
+        return 0
+    count = write_chrome_trace(out, runs)
+    print()
+    return _report_export(f"trace: {count} events from {len(runs)} run(s)",
+                          out)
 
 
-def _emit_telemetry(systems: Sequence[KvSystem], out: Optional[str]) -> None:
+def _emit_telemetry(systems: Sequence[KvSystem], out: Optional[str]) -> int:
     """Print sampler overviews; optionally dump the JSONL file(s)."""
     samplers = [(system.label, system.telemetry) for system in systems
                 if system.telemetry is not None]
     if not samplers:
         print("[telemetry: no sampled runs collected]", file=sys.stderr)
-        return
+        return 0
     rows = [[label, sampler.samples, len(sampler.series),
              len(sampler.events),
              len(sampler.health.frames) if sampler.health else 0]
@@ -119,31 +283,23 @@ def _emit_telemetry(systems: Sequence[KvSystem], out: Optional[str]) -> None:
     print(format_table(
         ["run", "samples", "series", "events", "health_frames"],
         rows, title="telemetry: sampled runs"))
+    exit_code = 0
     if out:
-        import os
         stem, ext = os.path.splitext(out)
-        for index, (label, sampler) in enumerate(samplers):
+        for label, sampler in samplers:
             path = out if len(samplers) == 1 else f"{stem}-{label}{ext}"
             count = write_telemetry_jsonl(path, sampler)
-            problems = validate_telemetry_file(path)
-            status = "valid" if not problems else \
-                f"{len(problems)} PROBLEMS"
-            print(f"[telemetry: {count} records -> {path} ({status})]")
+            exit_code |= _report_export(f"telemetry: {count} records", path)
+    return exit_code
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    if args.arrivals is not None:
+    if args.tenants is not None or args.arrivals is not None:
         if args.experiment is not None:
-            print("run: give either an experiment id or --arrivals, not both",
-                  file=sys.stderr)
+            print("run: give either an experiment id or --tenants/"
+                  "--arrivals, not both", file=sys.stderr)
             return 2
-        return _run_arrivals(args)
-    if args.tenants is not None:
-        if args.experiment is not None:
-            print("run: give either an experiment id or --tenants, not both",
-                  file=sys.stderr)
-            return 2
-        return _run_tenants(args)
+        return _run_preset(args)
     if args.experiment is None:
         print("run: an experiment id, --tenants N or --arrivals RATE "
               "is required", file=sys.stderr)
@@ -161,155 +317,89 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if hasattr(result, extra):
             print()
             print(getattr(result, extra)())
+    exit_code = 0
     if args.trace:
-        _emit_trace(scope.systems, args.out)
+        exit_code |= _emit_trace(scope.systems, args.out)
     if args.telemetry:
-        _emit_telemetry(scope.systems, args.telemetry_out)
+        exit_code |= _emit_telemetry(scope.systems, args.telemetry_out)
     print(f"\n[{args.experiment} at {scale.name} scale: {elapsed:.1f}s]")
-    return 0
+    return exit_code
 
 
-def _run_arrivals(args: argparse.Namespace) -> int:
-    """``repro run --arrivals RATE``: one open-loop run, reconciled.
+def _run_preset(args: argparse.Namespace) -> int:
+    """``repro run --tenants N`` and/or ``--arrivals RATE``: one small run.
 
-    Combines with ``--tenants N`` for per-tenant fan-in: every tenant
-    gets its own open-loop dispatcher and front door at the given rate.
+    Prints one row per tenant plus the aggregate and checks the tenants
+    sum to it.  With ``--arrivals`` every tenant gets its own open-loop
+    dispatcher and front door at RATE; the table gains the admission
+    columns and the exit code the reconciliation check.
     """
     from repro.engine.admission import AdmissionConfig
     from repro.workload.arrivals import ArrivalSpec
 
-    if args.arrivals <= 0:
-        print("run: --arrivals must be a positive ops/s rate",
-              file=sys.stderr)
+    if args.tenants is not None and args.tenants < 1:
+        print("run: --tenants must be >= 1", file=sys.stderr)
         return 2
-    arrivals = ArrivalSpec(rate_ops_per_sec=args.arrivals,
-                           process=args.arrival_process,
-                           schedule=args.arrival_schedule)
-    admission = AdmissionConfig(policy=args.admission_policy,
-                                max_inflight=args.max_inflight,
-                                max_waiting=args.max_waiting)
-    kwargs = dict(
-        mode=args.mode,
-        threads=8,
-        num_keys=1_024,
-        total_queries=4_000,
-        journal_area_bytes=8 * MIB,
-        verify_reads=False,
-        arrivals=arrivals,
-        admission=admission,
-    )
-    if args.tenants is not None:
-        if args.tenants < 1:
-            print("run: --tenants must be >= 1", file=sys.stderr)
+    open_loop = args.arrivals is not None
+    fixed = dict(threads=8, num_keys=1_024, total_queries=4_000,
+                 journal_area_bytes=8 * MIB, verify_reads=False)
+    title = f"mode {args.mode}"
+    if open_loop:
+        if args.arrivals <= 0:
+            print("run: --arrivals must be a positive ops/s rate",
+                  file=sys.stderr)
             return 2
-        kwargs["tenants"] = tuple(TenantSpec()
-                                  for _ in range(args.tenants))
-    config = SystemConfig(**kwargs)
+        fixed["arrivals"] = ArrivalSpec(rate_ops_per_sec=args.arrivals,
+                                        process=args.arrival_process,
+                                        schedule=args.arrival_schedule)
+        fixed["admission"] = AdmissionConfig(policy=args.admission_policy,
+                                             max_inflight=args.max_inflight,
+                                             max_waiting=args.max_waiting)
+        title += (f", open loop @ {args.arrivals:,.0f} ops/s "
+                  f"({args.arrival_process}/{args.arrival_schedule}, "
+                  f"policy {args.admission_policy})")
     started = time.time()
-    result = run_config(config)
+    result = run_config(_config_from_args(args, **fixed))
     elapsed = time.time() - started
+    headers = ["tenant", "operations", "qps", "p99_us", "checkpoints"]
+    if open_loop:
+        headers += ["submitted", "shed", "shed_rate", "peak_queue",
+                    "reconciled"]
     rows = []
     reconciled = True
     for tenant in result.tenants:
-        report = tenant.admission
-        reconciled = reconciled and report.reconciles()
-        rows.append([
-            tenant.name, report.submitted, tenant.operations,
-            report.shed_total, report.shed_rate,
-            tenant.metrics.latency_all.p(99.0)[99.0] / 1e3,
-            report.max_waiting_seen,
-            "yes" if report.reconciles() else "NO"])
-    print(format_table(
-        ["tenant", "submitted", "completed", "shed", "shed_rate",
-         "p99_us", "peak_queue", "reconciled"],
-        rows, title=f"open loop @ {args.arrivals:,.0f} ops/s "
-                    f"({args.arrival_process}/{args.arrival_schedule}, "
-                    f"policy {args.admission_policy}, mode {args.mode})"))
-    print(f"\n[every submitted op got a typed completion: "
-          f"{'yes' if reconciled else 'NO — ZOMBIE OPS'}; "
-          f"wall {elapsed:.1f}s]")
-    return 0 if reconciled else 1
-
-
-def _run_tenants(args: argparse.Namespace) -> int:
-    """``repro run --tenants N``: N identical tenants on one device."""
-    if args.tenants < 1:
-        print("run: --tenants must be >= 1", file=sys.stderr)
-        return 2
-    config = SystemConfig(
-        mode=args.mode,
-        tenants=tuple(TenantSpec() for _ in range(args.tenants)),
-        threads=8,
-        num_keys=1_024,
-        total_queries=4_000,
-        journal_area_bytes=8 * MIB,
-        verify_reads=False,
-    )
-    started = time.time()
-    result = run_config(config)
-    elapsed = time.time() - started
-    rows = []
-    for tenant in result.tenants:
-        tails = tenant.metrics.latency_all.p(99.0)
-        rows.append([tenant.name, tenant.operations,
-                     tenant.metrics.throughput_qps(),
-                     tails[99.0] / 1e3,
-                     len(tenant.checkpoint_reports)])
-    tenant_ops = sum(t.operations for t in result.tenants)
+        row = [tenant.name, tenant.operations,
+               tenant.metrics.throughput_qps(),
+               tenant.metrics.latency_all.p(99.0)[99.0] / 1e3,
+               len(tenant.checkpoint_reports)]
+        if open_loop:
+            report = tenant.admission
+            reconciled = reconciled and report.reconciles()
+            row += [report.submitted, report.shed_total, report.shed_rate,
+                    report.max_waiting_seen,
+                    "yes" if report.reconciles() else "NO"]
+        rows.append(row)
     rows.append(["aggregate", result.metrics.operations,
                  result.metrics.throughput_qps(),
                  result.metrics.latency_all.p(99.0)[99.0] / 1e3,
-                 result.checkpoint_count])
-    print(format_table(
-        ["tenant", "operations", "qps", "p99_us", "checkpoints"],
-        rows, title=f"{args.tenants} tenants / mode {args.mode}"))
+                 result.checkpoint_count] + ["-"] * (len(headers) - 5))
+    print(format_table(headers, rows,
+                       title=f"{len(result.tenants)} tenant(s) / {title}"))
+    tenant_ops = sum(t.operations for t in result.tenants)
     consistent = tenant_ops == result.metrics.operations
     print(f"\n[per-tenant ops {'sum to' if consistent else 'DO NOT sum to'} "
           f"the aggregate: {tenant_ops} vs {result.metrics.operations}; "
           f"wall {elapsed:.1f}s]")
-    return 0 if consistent else 1
-
-
-def _cmd_trace(args: argparse.Namespace) -> int:
-    if args.validate:
-        problems = validate_trace_file(args.validate)
-        for problem in problems:
-            print(f"INVALID: {problem}", file=sys.stderr)
-        print(f"{args.validate}: "
-              + ("ok" if not problems else f"{len(problems)} problems"))
-        return 1 if problems else 0
-    scale = FULL if args.scale == "full" else QUICK
-    started = time.time()
-    with observe(trace=True) as scope:
-        run_experiment(args.experiment, scale)
-    elapsed = time.time() - started
-    _emit_trace(scope.systems, args.out)
-    print(f"\n[{args.experiment} traced at {scale.name} scale: "
-          f"{elapsed:.1f}s]")
-    return 0
+    if open_loop:
+        print(f"[every submitted op got a typed completion: "
+              f"{'yes' if reconciled else 'NO — ZOMBIE OPS'}]")
+    return 0 if consistent and reconciled else 1
 
 
 def _cmd_telemetry(args: argparse.Namespace) -> int:
-    """One sampled run: summary tables, JSONL export, validation."""
-    if args.validate_file:
-        problems = validate_telemetry_file(args.validate_file)
-        for problem in problems:
-            print(f"INVALID: {problem}", file=sys.stderr)
-        print(f"{args.validate_file}: "
-              + ("ok" if not problems else f"{len(problems)} problems"))
-        return 1 if problems else 0
-    kwargs = dict(
-        mode=args.mode, workload=args.workload, threads=args.threads,
-        total_queries=args.queries, verify_reads=False,
-        telemetry=TelemetryConfig(
-            interval_ns=parse_duration_ns(args.interval)))
-    if args.tenants is not None:
-        kwargs["tenants"] = tuple(TenantSpec()
-                                  for _ in range(args.tenants))
-        kwargs["journal_area_bytes"] = 8 * MIB
-    config = SystemConfig(**kwargs)
+    """One sampled run: summary tables and a re-validated JSONL export."""
     started = time.time()
-    result = run_config(config)
+    result = run_config(_config_from_args(args, verify_reads=False))
     elapsed = time.time() - started
     sampler = result.telemetry
     if args.summary:
@@ -321,12 +411,7 @@ def _cmd_telemetry(args: argparse.Namespace) -> int:
     exit_code = 0
     if args.out:
         count = write_telemetry_jsonl(args.out, sampler)
-        problems = validate_telemetry_file(args.out)
-        for problem in problems:
-            print(f"INVALID: {problem}", file=sys.stderr)
-        status = "valid" if not problems else f"{len(problems)} problems"
-        print(f"[telemetry: {count} records -> {args.out} ({status})]")
-        exit_code = 1 if problems else 0
+        exit_code = _report_export(f"telemetry: {count} records", args.out)
     print(f"[{sampler.samples} samples / {len(sampler.series)} series / "
           f"{len(sampler.events)} events; wall {elapsed:.1f}s]")
     return exit_code
@@ -341,30 +426,9 @@ def _cmd_blame(args: argparse.Namespace) -> int:
     table conditions the split on >p99 requests, and the exemplar table
     names the worst requests with their trace span ids.
     """
-    if args.validate_file:
-        problems = validate_blame_file(args.validate_file)
-        for problem in problems:
-            print(f"INVALID: {problem}", file=sys.stderr)
-        print(f"{args.validate_file}: "
-              + ("ok" if not problems else f"{len(problems)} problems"))
-        return 1 if problems else 0
-    kwargs = dict(
-        mode=args.mode, workload=args.workload, threads=args.threads,
-        total_queries=args.queries, verify_reads=False, blame=True,
-        lock_queries_during_checkpoint=args.gate)
-    if args.ckpt_interval is not None:
-        kwargs["checkpoint_interval_ns"] = \
-            parse_duration_ns(args.ckpt_interval)
-    if args.journal_mib is not None:
-        kwargs["journal_area_bytes"] = args.journal_mib * MIB
-        kwargs["checkpoint_journal_quota"] = args.journal_mib * MIB // 8
-    if args.tenants is not None:
-        kwargs["tenants"] = tuple(TenantSpec()
-                                  for _ in range(args.tenants))
-        kwargs["journal_area_bytes"] = 8 * MIB
-    config = SystemConfig(**kwargs)
     started = time.time()
-    result = run_config(config)
+    result = run_config(_config_from_args(args, verify_reads=False,
+                                          blame=True))
     elapsed = time.time() - started
     report = result.blame
     print(blame_table(report))
@@ -375,13 +439,8 @@ def _cmd_blame(args: argparse.Namespace) -> int:
     exit_code = 0
     if args.out:
         count = write_blame_jsonl(args.out, report, p=args.percentile)
-        problems = validate_blame_file(args.out)
-        for problem in problems:
-            print(f"INVALID: {problem}", file=sys.stderr)
-        status = "valid" if not problems else f"{len(problems)} problems"
-        print(f"\n[blame: {count} records -> {args.out} ({status})]")
-        if problems:
-            exit_code = 1
+        print()
+        exit_code = _report_export(f"blame: {count} records", args.out)
     if args.assert_ckpt_tail:
         profile = report.aggregate().tail_profile(args.percentile)
         dominant = profile.dominant_tail_category()
@@ -407,28 +466,6 @@ def _cmd_incident(args: argparse.Namespace) -> int:
     timeline naming the dominant blame stage.
     """
     from repro.common.jsonl import read_json
-    from repro.obs import (
-        dominant_stage,
-        load_incident_file,
-        resolve_against_trace,
-        timeline_table,
-        validate_incident_file,
-        write_incident_jsonl,
-    )
-
-    if args.validate_file:
-        problems = validate_incident_file(args.validate_file)
-        for problem in problems:
-            print(f"INVALID: {problem}", file=sys.stderr)
-        print(f"{args.validate_file}: "
-              + ("ok" if not problems else f"{len(problems)} problems"))
-        return 1 if problems else 0
-    if args.show_file:
-        records = load_incident_file(args.show_file)
-        print(timeline_table(records))
-        stage = dominant_stage(records)
-        print(f"[dominant blame stage: {stage or '-'}]")
-        return 0
 
     started = time.time()
     if args.kill_at is not None:
@@ -446,13 +483,7 @@ def _cmd_incident(args: argparse.Namespace) -> int:
     exit_code = 0
     if args.out:
         count = write_incident_jsonl(args.out, records)
-        problems = validate_incident_file(args.out)
-        for problem in problems:
-            print(f"INVALID: {problem}", file=sys.stderr)
-        status = "valid" if not problems else f"{len(problems)} problems"
-        print(f"[incident: {count} records -> {args.out} ({status})]")
-        if problems:
-            exit_code = 1
+        exit_code = _report_export(f"incident: {count} records", args.out)
     if args.trace_out:
         count = write_chrome_trace(args.trace_out, _traced_runs(systems))
         document, junk = read_json(args.trace_out)
@@ -481,27 +512,18 @@ def _run_node_incident(args: argparse.Namespace
                        ) -> Tuple[Any, List[KvSystem]]:
     """One flight-recorded gated system under a seeded burst storm."""
     from repro.engine.admission import AdmissionConfig
-    from repro.obs import incident_records
     from repro.workload.arrivals import ArrivalSpec
 
-    kwargs = dict(
-        mode=args.mode, workload=args.workload, threads=args.threads,
-        total_queries=args.queries, seed=args.seed, verify_reads=False,
-        blame=True, trace=True, flightrec=True,
-        lock_queries_during_checkpoint=args.gate,
-        telemetry=TelemetryConfig(
-            interval_ns=parse_duration_ns(args.interval)),
-        checkpoint_interval_ns=parse_duration_ns(args.ckpt_interval),
-        journal_area_bytes=args.journal_mib * MIB,
-        checkpoint_journal_quota=args.journal_mib * MIB // 8)
+    fixed = dict(verify_reads=False, blame=True, trace=True,
+                 flightrec=True)
     if args.burst:
-        kwargs["arrivals"] = ArrivalSpec(
+        fixed["arrivals"] = ArrivalSpec(
             rate_ops_per_sec=args.arrival_rate, process="bursts",
             schedule="flash-crowd")
-        kwargs["admission"] = AdmissionConfig(
+        fixed["admission"] = AdmissionConfig(
             policy="queue", max_inflight=args.threads,
             max_waiting=args.max_waiting)
-    system = KvSystem(SystemConfig(**kwargs))
+    system = KvSystem(_config_from_args(args, **fixed))
     for name in args.escalate.split(","):
         if name:
             system.telemetry.watchdogs.escalate(name.strip())
@@ -516,7 +538,6 @@ def _run_pair_incident(args: argparse.Namespace
                        ) -> Tuple[Any, List[KvSystem]]:
     """Cross-node incident: kill the primary mid-ship, then promote."""
     from repro.common.rng import SeededRng
-    from repro.obs import pair_incident_records
     from repro.replication.campaign import campaign_config
     from repro.replication.replica import ReplicatedPair
 
@@ -538,10 +559,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     # Bench runs always carry blame ledgers: the artifact's gated
     # ckpt_blame_p99_share metric comes from them, and blame adds no
     # simulated-time events, so every other metric is unaffected.
-    config = SystemConfig(mode=args.mode, workload=args.workload,
-                          threads=args.threads, total_queries=args.queries,
-                          distribution=args.distribution,
-                          verify_reads=False, trace=args.trace, blame=True)
+    config = _config_from_args(args, verify_reads=False, trace=args.trace,
+                               blame=True)
     started = time.time()
     system = KvSystem(config)
     result = system.run()
@@ -554,13 +573,15 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     print(format_table(["metric", "value"], rows,
                        title=f"{args.mode} / workload {args.workload} / "
                              f"{args.threads} threads"))
+    exit_code = 0
     if result.trace_summary is not None:
         for table in (component_table, phase_table, queue_split_table):
             print()
             print(table(result.trace_summary))
         if args.out:
             count = write_chrome_trace(args.out, _traced_runs([system]))
-            print(f"\n[trace: {count} events -> {args.out}]")
+            print()
+            exit_code = _report_export(f"trace: {count} events", args.out)
     if not args.no_artifact:
         from repro.analysis.benchfile import (
             bench_artifact,
@@ -597,7 +618,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     print(f"\n[wall: {elapsed:.1f}s, simulated: "
           f"{metrics.duration_ns / 1e9:.3f}s, "
           f"{result.ops_per_sec:,.0f} ops/s]")
-    return 0
+    return exit_code
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
@@ -610,14 +631,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     import cProfile
     import pstats
 
-    kwargs = dict(mode=args.mode, workload=args.workload,
-                  threads=args.threads, total_queries=args.queries,
-                  distribution=args.distribution, verify_reads=False)
-    if args.tenants is not None:
-        kwargs["tenants"] = tuple(TenantSpec()
-                                  for _ in range(args.tenants))
-        kwargs["journal_area_bytes"] = 8 * MIB
-    config = SystemConfig(**kwargs)
+    config = _config_from_args(args, verify_reads=False)
     profiler = cProfile.Profile()
     profiler.enable()
     result = run_config(config)
@@ -808,7 +822,7 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The argparse CLI: list / run / bench / table1 subcommands."""
+    """The argparse CLI, one subparser per subcommand (see module doc)."""
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Check-In (ISCA 2020) reproduction: experiments and runs")
@@ -823,14 +837,7 @@ def build_parser() -> argparse.ArgumentParser:
         "run", help="run one experiment, or N tenants with --tenants")
     run_parser.add_argument("experiment", nargs="?", default=None,
                             choices=experiment_names)
-    run_parser.add_argument("--tenants", type=int, default=None,
-                            metavar="N",
-                            help="instead of an experiment: run N identical "
-                                 "tenants sharing one namespaced device")
-    run_parser.add_argument("--mode", default="checkin",
-                            choices=("baseline", "isc_a", "isc_b",
-                                     "isc_c", "checkin"),
-                            help="configuration for --tenants runs")
+    _add_run_args(run_parser, mode="checkin", tenants=None)
     run_parser.add_argument("--scale", choices=("quick", "full"),
                             default="quick")
     run_parser.add_argument("--trace", action="store_true",
@@ -872,30 +879,17 @@ def build_parser() -> argparse.ArgumentParser:
                             help="admission waiting-room depth")
     run_parser.set_defaults(handler=_cmd_run)
 
-    trace_parser = commands.add_parser(
-        "trace", help="run one experiment traced and export its timeline")
-    trace_parser.add_argument("experiment", nargs="?", default="fig8a",
-                              choices=experiment_names)
-    trace_parser.add_argument("--scale", choices=("quick", "full"),
-                              default="quick")
-    trace_parser.add_argument("--out", metavar="PATH", default="trace.json")
-    trace_parser.add_argument("--validate", metavar="PATH", default=None,
-                              help="validate an existing trace file instead "
-                                   "of running anything")
-    trace_parser.set_defaults(handler=_cmd_trace)
+    inspect_parser = commands.add_parser(
+        "inspect",
+        help="validate any export (trace, telemetry, blame or incident) "
+             "by its header; replay an incident bundle's timeline")
+    inspect_parser.add_argument("file", metavar="FILE")
+    inspect_parser.set_defaults(handler=_cmd_inspect)
 
     bench_parser = commands.add_parser(
         "bench", help="run one configuration and print its metrics")
-    bench_parser.add_argument("--mode", default="checkin",
-                              choices=("baseline", "isc_a", "isc_b",
-                                       "isc_c", "checkin"))
-    bench_parser.add_argument("--workload", default="A",
-                              choices=("A", "B", "C", "F", "WO"))
-    bench_parser.add_argument("--threads", type=int, default=32)
-    bench_parser.add_argument("--queries", type=int, default=20_000)
-    bench_parser.add_argument("--distribution", default="zipfian",
-                              choices=("uniform", "zipfian",
-                                       "scrambled_zipfian"))
+    _add_run_args(bench_parser, mode="checkin", workload="A", threads=32,
+                  queries=20_000, distribution="zipfian")
     bench_parser.add_argument("--trace", action="store_true",
                               help="trace the run and print per-component "
                                    "stage/phase/queue tables")
@@ -913,20 +907,8 @@ def build_parser() -> argparse.ArgumentParser:
     profile_parser = commands.add_parser(
         "profile",
         help="cProfile one run and print the hottest functions")
-    profile_parser.add_argument("--mode", default="checkin",
-                                choices=("baseline", "isc_a", "isc_b",
-                                         "isc_c", "checkin"))
-    profile_parser.add_argument("--workload", default="A",
-                                choices=("A", "B", "C", "F", "WO"))
-    profile_parser.add_argument("--threads", type=int, default=8)
-    profile_parser.add_argument("--queries", type=int, default=4_000)
-    profile_parser.add_argument("--tenants", type=int, default=None,
-                                metavar="N",
-                                help="profile a multi-tenant (namespaced) "
-                                     "run instead of the classic one")
-    profile_parser.add_argument("--distribution", default="zipfian",
-                                choices=("uniform", "zipfian",
-                                         "scrambled_zipfian"))
+    _add_run_args(profile_parser, mode="checkin", workload="A", threads=8,
+                  queries=4_000, tenants=None, distribution="zipfian")
     profile_parser.add_argument("--sort", default="cumulative",
                                 choices=("cumulative", "tottime", "calls"),
                                 help="pstats sort key (default: cumulative)")
@@ -941,31 +923,9 @@ def build_parser() -> argparse.ArgumentParser:
         "blame",
         help="attribute per-request latency to pipeline stages and "
              "print a root-cause report")
-    blame_parser.add_argument("--mode", default="baseline",
-                              choices=("baseline", "isc_a", "isc_b",
-                                       "isc_c", "checkin"))
-    blame_parser.add_argument("--workload", default="WO",
-                              choices=("A", "B", "C", "F", "WO"))
-    blame_parser.add_argument("--threads", type=int, default=8)
-    blame_parser.add_argument("--queries", type=int, default=4_000)
-    blame_parser.add_argument("--tenants", type=int, default=None,
-                              metavar="N",
-                              help="blame a multi-tenant (namespaced) run "
-                                   "instead of the classic one")
-    blame_parser.add_argument("--ckpt-interval", metavar="DUR",
-                              default=None,
-                              help="checkpoint interval in simulated "
-                                   "time, e.g. 10ms (default: config)")
-    blame_parser.add_argument("--journal-mib", type=int, default=None,
-                              metavar="N",
-                              help="journal area size in MiB; smaller "
-                                   "areas checkpoint more often "
-                                   "(default: config)")
-    blame_parser.add_argument("--gate", action="store_true",
-                              help="freeze queries during checkpoints "
-                                   "(the Figure-10 gated configuration; "
-                                   "makes checkpoint stalls visible in "
-                                   "the tail)")
+    _add_run_args(blame_parser, mode="baseline", workload="WO", threads=8,
+                  queries=4_000, tenants=None, ckpt_interval=None,
+                  journal_mib=None, gate=False)
     blame_parser.add_argument("--percentile", type=float, default=99.0,
                               metavar="P",
                               help="tail percentile for the blame "
@@ -977,28 +937,15 @@ def build_parser() -> argparse.ArgumentParser:
                               help="exit nonzero unless the dominant "
                                    "tail stage is checkpoint-family "
                                    "(CI smoke assertion)")
-    blame_parser.add_argument("--validate", dest="validate_file",
-                              metavar="PATH", default=None,
-                              help="validate an existing blame JSONL "
-                                   "instead of running anything")
     blame_parser.set_defaults(handler=_cmd_blame)
 
     incident_parser = commands.add_parser(
         "incident",
         help="trip a seeded incident, dump the repro-incident/v1 "
              "bundle and reconstruct the cross-plane causal timeline")
-    incident_parser.add_argument("--mode", default="baseline",
-                                 choices=("baseline", "isc_a", "isc_b",
-                                          "isc_c", "checkin"))
-    incident_parser.add_argument("--workload", default="WO",
-                                 choices=("A", "B", "C", "F", "WO"))
-    incident_parser.add_argument("--threads", type=int, default=8)
-    incident_parser.add_argument("--queries", type=int, default=1_500)
-    incident_parser.add_argument("--seed", type=int, default=7)
-    incident_parser.add_argument("--gate", action="store_true",
-                                 help="freeze queries during checkpoints "
-                                      "(makes ckpt_freeze_stall the "
-                                      "dominant blame stage)")
+    _add_run_args(incident_parser, mode="baseline", workload="WO",
+                  threads=8, queries=1_500, seed=7, gate=False,
+                  ckpt_interval="10ms", journal_mib=2, interval="1ms")
     incident_parser.add_argument("--burst", action="store_true",
                                  help="drive the run with an open-loop "
                                       "flash-crowd burst storm behind a "
@@ -1010,17 +957,6 @@ def build_parser() -> argparse.ArgumentParser:
     incident_parser.add_argument("--max-waiting", type=int, default=64,
                                  help="front-door waiting-room depth "
                                       "for the burst storm")
-    incident_parser.add_argument("--ckpt-interval", metavar="DUR",
-                                 default="10ms",
-                                 help="checkpoint interval in simulated "
-                                      "time (default 10ms)")
-    incident_parser.add_argument("--journal-mib", type=int, default=2,
-                                 metavar="N",
-                                 help="journal area size in MiB "
-                                      "(default 2: checkpoints often)")
-    incident_parser.add_argument("--interval", metavar="DUR",
-                                 default="1ms",
-                                 help="telemetry sampling interval")
     incident_parser.add_argument("--window", metavar="DUR", default="10ms",
                                  help="telemetry bracket around the "
                                       "trigger in the bundle")
@@ -1058,35 +994,13 @@ def build_parser() -> argparse.ArgumentParser:
                                  help="exit nonzero unless the dominant "
                                       "blame stage matches (e.g. "
                                       "ckpt_freeze_stall)")
-    incident_parser.add_argument("--validate", dest="validate_file",
-                                 metavar="PATH", default=None,
-                                 help="validate an existing incident "
-                                      "bundle instead of running")
-    incident_parser.add_argument("--show", dest="show_file",
-                                 metavar="PATH", default=None,
-                                 help="reconstruct the timeline from an "
-                                      "existing bundle instead of "
-                                      "running")
     incident_parser.set_defaults(handler=_cmd_incident)
 
     telemetry_parser = commands.add_parser(
         "telemetry",
         help="run one sampled configuration and export its time series")
-    telemetry_parser.add_argument("--mode", default="checkin",
-                                  choices=("baseline", "isc_a", "isc_b",
-                                           "isc_c", "checkin"))
-    telemetry_parser.add_argument("--workload", default="A",
-                                  choices=("A", "B", "C", "F", "WO"))
-    telemetry_parser.add_argument("--threads", type=int, default=8)
-    telemetry_parser.add_argument("--queries", type=int, default=4_000)
-    telemetry_parser.add_argument("--tenants", type=int, default=None,
-                                  metavar="N",
-                                  help="sample a multi-tenant (namespaced) "
-                                       "run instead of the classic one")
-    telemetry_parser.add_argument("--interval", metavar="DUR",
-                                  default="1ms",
-                                  help="sampling interval in simulated "
-                                       "time, e.g. 10ms / 500us / 250000")
+    _add_run_args(telemetry_parser, mode="checkin", workload="A", threads=8,
+                  queries=4_000, tenants=None, interval="1ms")
     telemetry_parser.add_argument("--out", metavar="PATH", default=None,
                                   help="write the JSONL dump here (the "
                                        "dump is re-validated after "
@@ -1094,10 +1008,6 @@ def build_parser() -> argparse.ArgumentParser:
     telemetry_parser.add_argument("--summary", action="store_true",
                                   help="print the per-series overview, "
                                        "watchdog events and health report")
-    telemetry_parser.add_argument("--validate", dest="validate_file",
-                                  metavar="PATH", default=None,
-                                  help="validate an existing telemetry "
-                                       "JSONL instead of running anything")
     telemetry_parser.set_defaults(handler=_cmd_telemetry)
 
     commands.add_parser("table1", help="print the Table-I configuration") \
@@ -1128,12 +1038,9 @@ def build_parser() -> argparse.ArgumentParser:
         "replicate",
         help="kill-the-primary drill: journal shipping, promote-on-"
              "failure, snapshot+replay — RTO/RPO per strategy")
-    repl_parser.add_argument("--mode", default="checkin",
-                             choices=("baseline", "isc_a", "isc_b",
-                                      "isc_c", "checkin"))
+    _add_run_args(repl_parser, mode="checkin", seed=7)
     repl_parser.add_argument("--ops", type=int, default=160)
     repl_parser.add_argument("--keys", type=int, default=64)
-    repl_parser.add_argument("--seed", type=int, default=7)
     repl_parser.add_argument("--kill-at", type=int, default=None,
                              metavar="STEP",
                              help="kill the primary after this many "
@@ -1163,14 +1070,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PLANE_OUTPUTS = {
+    "run": (("out", "trace"), ("telemetry_out", "telemetry")),
+    "bench": (("out", "trace"),),
+}
+"""Per subcommand: output flags that write nothing unless their plane is
+switched on, as (output dest, plane dest) pairs."""
+
+
 def main(argv=None) -> int:
     """CLI entry point; returns the process exit code."""
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    for out, plane in _PLANE_OUTPUTS.get(args.command, ()):
+        if getattr(args, out) and not getattr(args, plane):
+            parser.error(f"{args.command}: --{out.replace('_', '-')} "
+                         f"needs --{plane}")
     try:
         return args.handler(args)
     except BrokenPipeError:
         # Output piped into e.g. `head`; exiting quietly is the Unix way.
-        import os
         try:
             os.close(sys.stdout.fileno())
         except OSError:

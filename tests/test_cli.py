@@ -28,11 +28,22 @@ class TestParser:
         assert args.experiment == "fig8"
         assert args.trace and args.out is None
 
-    def test_trace_defaults(self):
-        args = build_parser().parse_args(["trace"])
-        assert args.experiment == "fig8a"
-        assert args.out == "trace.json"
-        assert args.validate is None
+    def test_trace_subcommand_removed(self):
+        # `repro run EXP --trace --out P` is the one traced-export path.
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["trace"])
+        assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "fig3c", "--out", "t.json"],
+        ["run", "fig3c", "--telemetry-out", "t.jsonl"],
+        ["bench", "--out", "t.json"],
+    ])
+    def test_output_without_its_plane_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "needs --" in capsys.readouterr().err
 
 
 class TestCommands:
@@ -88,7 +99,7 @@ class TestCommands:
         assert validate_telemetry_file(str(telemetry_path)) == []
 
     def test_trace_exports_every_scoped_run(self, tmp_path, capsys):
-        assert main(["trace", "fig3c", "--out",
+        assert main(["run", "fig3c", "--trace", "--out",
                      str(tmp_path / "trace.json")]) == 0
         # fig3c builds one system; its seeded timeline has a fixed size.
         assert "[trace: 31263 events from 1 run(s)" in \
@@ -107,17 +118,20 @@ class TestCommands:
     def test_telemetry_validate_rejects_garbage(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
         bad.write_text("not json\n")
-        assert main(["telemetry", "--validate", str(bad)]) == 1
+        assert main(["inspect", str(bad)]) == 1
+        assert "unknown format" in capsys.readouterr().err
 
     def test_trace_validate_rejects_garbage(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("[]")
-        assert main(["trace", "--validate", str(bad)]) == 1
-        assert main(["trace", "--validate", str(tmp_path / "missing")]) == 1
+        assert main(["inspect", str(bad)]) == 1
+        assert "unknown format" in capsys.readouterr().err
+        assert main(["inspect", str(tmp_path / "missing")]) == 1
+        assert "cannot read" in capsys.readouterr().err
 
 
 class TestTenantRuns:
-    def test_run_tenants_parses(self):
+    def test_run_with_tenants_parses(self):
         args = build_parser().parse_args(["run", "--tenants", "2"])
         assert args.experiment is None
         assert args.tenants == 2
@@ -145,3 +159,141 @@ class TestTenantRuns:
         assert "tenant0" in out and "tenant1" in out
         assert "aggregate" in out
         assert "sum to" in out and "DO NOT" not in out
+
+
+class _Built(Exception):
+    """Raised in place of running: carries the config a handler built."""
+
+    def __init__(self, config):
+        super().__init__()
+        self.config = config
+
+
+def _built_config(monkeypatch, argv):
+    """The SystemConfig ``main(argv)`` builds, captured before it runs."""
+    import repro.__main__ as cli
+
+    def capture(config):
+        raise _Built(config)
+
+    monkeypatch.setattr(cli, "run_config", capture)
+    monkeypatch.setattr(cli, "KvSystem", capture)
+    with pytest.raises(_Built) as excinfo:
+        main(argv)
+    return excinfo.value.config
+
+
+def _parent_configs():
+    """(argv, the SystemConfig each handler built by hand before)."""
+    from repro.common.units import MIB, MS
+    from repro.engine.admission import AdmissionConfig
+    from repro.system import SystemConfig, TenantSpec
+    from repro.telemetry import TelemetryConfig
+    from repro.workload.arrivals import ArrivalSpec
+
+    two = (TenantSpec(), TenantSpec())
+    preset = dict(mode="checkin", threads=8, num_keys=1_024,
+                  total_queries=4_000, journal_area_bytes=8 * MIB,
+                  verify_reads=False)
+    return [
+        (["run", "--tenants", "2"], SystemConfig(tenants=two, **preset)),
+        (["run", "--arrivals", "120000", "--tenants", "2"], SystemConfig(
+            tenants=two,
+            arrivals=ArrivalSpec(rate_ops_per_sec=120_000.0,
+                                 process="poisson", schedule="constant"),
+            admission=AdmissionConfig(policy="queue", max_inflight=64,
+                                      max_waiting=256),
+            **preset)),
+        (["telemetry", "--tenants", "2"], SystemConfig(
+            mode="checkin", workload="A", threads=8, total_queries=4_000,
+            verify_reads=False, tenants=two, journal_area_bytes=8 * MIB,
+            telemetry=TelemetryConfig(interval_ns=1 * MS))),
+        (["blame", "--gate", "--ckpt-interval", "10ms", "--journal-mib", "2"],
+         SystemConfig(
+             mode="baseline", workload="WO", threads=8, total_queries=4_000,
+             verify_reads=False, blame=True,
+             lock_queries_during_checkpoint=True,
+             checkpoint_interval_ns=10 * MS, journal_area_bytes=2 * MIB,
+             checkpoint_journal_quota=2 * MIB // 8)),
+        (["incident", "--gate", "--burst"], SystemConfig(
+            mode="baseline", workload="WO", threads=8, total_queries=1_500,
+            seed=7, verify_reads=False, blame=True, trace=True,
+            flightrec=True, lock_queries_during_checkpoint=True,
+            telemetry=TelemetryConfig(interval_ns=1 * MS),
+            checkpoint_interval_ns=10 * MS, journal_area_bytes=2 * MIB,
+            checkpoint_journal_quota=2 * MIB // 8,
+            arrivals=ArrivalSpec(rate_ops_per_sec=120_000.0,
+                                 process="bursts", schedule="flash-crowd"),
+            admission=AdmissionConfig(policy="queue", max_inflight=8,
+                                      max_waiting=64))),
+        (["bench", "--threads", "8", "--queries", "4000"], SystemConfig(
+            mode="checkin", workload="A", threads=8, total_queries=4_000,
+            distribution="zipfian", verify_reads=False, trace=False,
+            blame=True)),
+        (["profile", "--tenants", "2"], SystemConfig(
+            mode="checkin", workload="A", threads=8, total_queries=4_000,
+            distribution="zipfian", verify_reads=False, tenants=two,
+            journal_area_bytes=8 * MIB)),
+    ]
+
+
+class TestConfigFromArgs:
+    @pytest.mark.parametrize("argv, expected", [
+        pytest.param(argv, expected, id=" ".join(argv))
+        for argv, expected in _parent_configs()])
+    def test_handler_builds_the_same_config(self, monkeypatch, argv,
+                                            expected):
+        assert _built_config(monkeypatch, argv) == expected
+
+    def test_explicit_journal_wins_over_tenant_default(self, monkeypatch):
+        from repro.common.units import MIB
+        config = _built_config(monkeypatch, ["blame", "--tenants", "2",
+                                             "--journal-mib", "2"])
+        assert config.journal_area_bytes == 2 * MIB
+        assert config.checkpoint_journal_quota == 2 * MIB // 8
+        assert len(config.tenants) == 2
+
+
+@pytest.fixture(scope="module")
+def exports(tmp_path_factory):
+    """One tiny run with every plane on, dumped in all four formats."""
+    from repro.common.units import MS
+    from repro.obs import incident_records, write_blame_jsonl, \
+        write_incident_jsonl
+    from repro.system import KvSystem, tiny_config
+    from repro.telemetry import TelemetryConfig, write_telemetry_jsonl
+    from repro.trace import write_chrome_trace
+
+    system = KvSystem(tiny_config(
+        total_queries=600, trace=True, blame=True, flightrec=True,
+        telemetry=TelemetryConfig(interval_ns=1 * MS)))
+    result = system.run()
+    root = tmp_path_factory.mktemp("exports")
+    paths = {name: str(root / name) for name in
+             ("trace.json", "telemetry.jsonl", "blame.jsonl",
+              "incident.jsonl")}
+    write_chrome_trace(paths["trace.json"],
+                       [(system.label, system.sim.tracer)])
+    write_telemetry_jsonl(paths["telemetry.jsonl"], result.telemetry)
+    write_blame_jsonl(paths["blame.jsonl"], result.blame)
+    write_incident_jsonl(paths["incident.jsonl"], incident_records(system))
+    return paths
+
+
+class TestInspect:
+    @pytest.mark.parametrize("name, kind", [
+        ("trace.json", "chrome-trace"),
+        ("telemetry.jsonl", "repro-telemetry/v1"),
+        ("blame.jsonl", "repro-blame/v1"),
+        ("incident.jsonl", "repro-incident/v1"),
+    ])
+    def test_real_export_is_ok(self, exports, name, kind, capsys):
+        assert main(["inspect", exports[name]]) == 0
+        assert f"{kind} ok" in capsys.readouterr().out
+
+    def test_unknown_schema_rejected(self, tmp_path, capsys):
+        path = tmp_path / "other.jsonl"
+        path.write_text('{"type": "header", "schema": "repro-other/v9"}\n'
+                        '{"type": "footer"}\n')
+        assert main(["inspect", str(path)]) == 1
+        assert "unknown format" in capsys.readouterr().err

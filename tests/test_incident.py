@@ -188,9 +188,11 @@ class TestCli:
                      "--assert-stage", "ckpt_freeze_stall"])
         assert code == 0
         assert bundle.exists() and trace.exists()
-        assert main(["incident", "--validate", str(bundle)]) == 0
-        assert main(["incident", "--show", str(bundle)]) == 0
+        capsys.readouterr()
+        # inspect validates the bundle and replays its timeline.
+        assert main(["inspect", str(bundle)]) == 0
         out = capsys.readouterr().out
+        assert "repro-incident/v1 ok" in out
         assert "dominant blame stage: ckpt_freeze_stall" in out
 
     def test_incident_assert_trigger_fails_quiet_run(self, capsys):
@@ -209,6 +211,6 @@ class TestCli:
              "label": "x", "node": None, "triggers": 0,
              "flight_events": 0, "window_ns": 0, "trigger_t_ns": None,
              "trigger_reason": None}) + "\n")
-        code = main(["incident", "--validate", str(path)])
+        code = main(["inspect", str(path)])
         capsys.readouterr()
         assert code == 1
