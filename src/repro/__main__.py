@@ -672,18 +672,14 @@ def _cmd_media_sweep(args: argparse.Namespace) -> int:
         failures = sweep.failures()
         failed += len(failures)
         for point in sweep.results:
-            rows.append([mode, point.rate, point.acked_keys,
+            rows.append([mode, f"{point.rate:g}", point.acked_keys,
                          point.program_fails, point.erase_fails,
                          point.uecc_events, point.relocations,
                          point.bad_blocks,
                          "yes" if point.degraded else "no",
                          "FAIL" if not point.ok else "ok"])
         for point in failures:
-            problems = (point.client_errors + point.invariant_violations
-                        + point.checkpoint_violations)
-            if point.durability_error:
-                problems.append(point.durability_error)
-            print(f"FAIL {mode} rate {point.rate}: {problems[0]}",
+            print(f"FAIL {mode} rate {point.rate}: {point.problems()[0]}",
                   file=sys.stderr)
     exhaustion = spare_exhaustion_run(seed=args.seed)
     summary = exhaustion.metrics.summary()
@@ -722,15 +718,8 @@ def _cmd_fault_sweep(args: argparse.Namespace) -> int:
                      len(failures), sweep.mean_recovery_wall_ns() / 1e6,
                      sweep.max_recovery_wall_ns() / 1e6, sweep.digest()])
         for result in failures:
-            problems = (result.invariant_violations
-                        + result.checkpoint_violations)
-            if result.durability_error:
-                problems.append(result.durability_error)
-            if result.mapping_mismatches:
-                problems.append(
-                    f"{result.mapping_mismatches} SPOR mapping mismatches")
             print(f"FAIL {mode} crash point {result.index} "
-                  f"(step {result.crash_step}): {problems[0]}",
+                  f"(step {result.crash_step}): {result.problems()[0]}",
                   file=sys.stderr)
     elapsed = time.time() - started
     print(format_table(

@@ -8,28 +8,29 @@ procedures of §III-G against the post-crash image, and asserts that the
 recovered KV state matches what was durably committed.
 """
 
+from repro.fault.check import CrashCheck, SweepResult, crash_and_check
 from repro.fault.crash import CrashReport, power_cut, recover_device
-from repro.fault.harness import CrashPointResult, SweepResult, fault_sweep
+from repro.fault.harness import CrashPointResult, fault_sweep
 from repro.fault.invariants import assert_ftl_invariants, check_ftl_invariants
 from repro.fault.media import (
     MediaPointResult,
-    MediaSweepResult,
     media_error_config,
     media_sweep,
     spare_exhaustion_run,
 )
 
 __all__ = [
+    "CrashCheck",
+    "SweepResult",
+    "crash_and_check",
     "CrashReport",
     "power_cut",
     "recover_device",
     "CrashPointResult",
-    "SweepResult",
     "fault_sweep",
     "assert_ftl_invariants",
     "check_ftl_invariants",
     "MediaPointResult",
-    "MediaSweepResult",
     "media_error_config",
     "media_sweep",
     "spare_exhaustion_run",

@@ -1,17 +1,12 @@
-"""Deterministic crash-point sweep over a scripted KV workload.
+"""Deterministic crash-point sweeps over scripted KV workloads.
 
-One sweep (a) runs a scripted update/checkpoint workload to completion to
-learn its event-step count ``T``, then (b) replays the identical workload
-``crash_points`` times on fresh systems, each time pulling the plug after
-a seeded-random number of steps in ``[1, T]``, recovering the device and
-asserting:
-
-* the SPOR scan rebuilds exactly the pre-crash mapping table (nothing the
-  capacitor promised to hold was lost, nothing is invented);
-* every FTL structural invariant holds after recovery — and after every
-  checkpoint that completed before the crash;
-* the recovered KV store satisfies ``acked <= recovered <= current``:
-  no acknowledged commit is lost and no version is invented.
+One sweep (a) runs a workload to completion to learn its event-step
+count ``T``, then (b) replays the identical workload ``crash_points``
+times on fresh systems, each time pulling the plug after a seeded-random
+number of steps in ``[1, T]`` and running the shared post-cut check
+(:func:`repro.fault.check.crash_and_check`): exact SPOR rebuild, FTL
+invariants after recovery and after every pre-cut checkpoint, and
+``acked <= recovered <= current`` for every tenant.
 
 Everything is derived from one root seed, so a sweep is exactly
 reproducible: same seed, same crash points, same recovered state digests.
@@ -19,11 +14,10 @@ reproducible: same seed, same crash points, same recovered state digests.
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, List, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Generator, List, Tuple
 
-from repro.common.errors import RecoveryError, SimulationError
+from repro.common.errors import SimulationError
 from repro.common.rng import SeededRng
 from repro.common.units import MIB
 from repro.engine.admission import (
@@ -32,87 +26,34 @@ from repro.engine.admission import (
     AdmissionTicket,
 )
 from repro.engine.engine import StorageEngine
-from repro.engine.recovery import check_durability
-from repro.fault.crash import CrashReport, power_cut, recover_device
-from repro.fault.invariants import (
-    check_ftl_invariants,
-    check_namespace_isolation,
+from repro.fault.check import (
+    CrashCheck,
+    SweepResult,
+    crash_and_check,
+    step_until,
 )
+from repro.fault.invariants import check_ftl_invariants
 from repro.sim.process import spawn
 from repro.system.config import SystemConfig, TenantSpec, tiny_config
 from repro.system.system import KvSystem
-from repro.trace.tracer import Tracer
 from repro.workload.arrivals import ArrivalSpec, arrival_times
 
 
 @dataclass
-class CrashPointResult:
+class CrashPointResult(CrashCheck):
     """Outcome of one crash/recover/verify cycle."""
 
-    index: int
-    crash_step: int
-    sim_time_ns: int
-    acked_keys: int
-    report: CrashReport
-    mapping_mismatches: int = 0
-    checkpoint_violations: List[str] = field(default_factory=list)
-    invariant_violations: List[str] = field(default_factory=list)
-    durability_error: str = ""
-    recovered_digest: str = ""
-    recovery_wall_ns: int = 0
-    """Host wall-clock time of the SPOR recovery scan (simulated time is
-    frozen after a power cut, so recovery cost is measured on the host's
-    monotonic clock via :meth:`repro.trace.tracer.Tracer.wallclock`)."""
+    index: int = 0
+    crash_step: int = 0
+    sim_time_ns: int = 0
 
-    @property
-    def ok(self) -> bool:
-        """True when recovery was exact and every invariant held."""
-        return (self.mapping_mismatches == 0
-                and not self.checkpoint_violations
-                and not self.invariant_violations
-                and not self.durability_error)
+    def digest_key(self) -> str:
+        return f"{self.crash_step}:{self.recovered_digest}"
 
 
-@dataclass
-class SweepResult:
-    """All crash points of one (mode, seed) sweep."""
-
-    mode: str
-    seed: int
-    total_steps: int
-    results: List[CrashPointResult] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        """True when every crash point recovered cleanly."""
-        return all(result.ok for result in self.results)
-
-    def failures(self) -> List[CrashPointResult]:
-        """The crash points that violated an invariant or lost data."""
-        return [result for result in self.results if not result.ok]
-
-    def digest(self) -> str:
-        """Stable fingerprint of the sweep (determinism checks)."""
-        digest = hashlib.sha256()
-        for result in self.results:
-            digest.update(
-                f"{result.crash_step}:{result.recovered_digest}".encode())
-        return digest.hexdigest()[:16]
-
-    def mean_recovery_wall_ns(self) -> float:
-        """Average SPOR recovery wall time per crash point."""
-        if not self.results:
-            return 0.0
-        return sum(r.recovery_wall_ns for r in self.results) / \
-            len(self.results)
-
-    def max_recovery_wall_ns(self) -> int:
-        """Slowest SPOR recovery across the sweep."""
-        return max((r.recovery_wall_ns for r in self.results), default=0)
-
-
-def _sweep_config(mode: str, seed: int, num_keys: int,
-                  tenants: int = 1) -> SystemConfig:
+def scripted_config(mode: str, seed: int, num_keys: int,
+                    tenants: int = 1) -> SystemConfig:
+    """The tiny, recoverable configuration the scripted workload runs on."""
     if tenants <= 1:
         return tiny_config(mode=mode, seed=seed, num_keys=num_keys,
                            track_op_log=True, snapshot_metadata=True)
@@ -139,12 +80,21 @@ def _scripted_client(engine: StorageEngine, num_keys: int,
             yield from engine.checkpoint()
 
 
-def _start(config: SystemConfig, ops: int, ckpt_every: int
-           ) -> Tuple[KvSystem, List[Dict[int, int]], List[Any], List[str]]:
+def _watch_checkpoints(engine: StorageEngine,
+                       ckpt_violations: List[str]) -> None:
+    engine.on_checkpoint.append(
+        lambda engine, _report: ckpt_violations.extend(
+            check_ftl_invariants(engine.ssd.ftl)))
+
+
+def start_scripted(config: SystemConfig, ops: int, ckpt_every: int
+                   ) -> Tuple[KvSystem, List[Dict[int, int]], List[Any],
+                              List[str]]:
     """Build a loaded, started system running the scripted workload.
 
-    Returns one acked-versions dict and one client process per tenant (a
-    single pair on the classic single-tenant path).
+    Returns the system, one acked-versions dict and one client process
+    per tenant (a single pair on the classic single-tenant path), and the
+    list the checkpoint hook fills with FTL invariant violations.
     """
     system = KvSystem(config)
     system.load()
@@ -153,9 +103,7 @@ def _start(config: SystemConfig, ops: int, ckpt_every: int
     procs: List[Any] = []
     for tenant in system.tenants:
         tenant.engine.start()
-        tenant.engine.on_checkpoint.append(
-            lambda engine, _report: ckpt_violations.extend(
-                check_ftl_invariants(engine.ssd.ftl)))
+        _watch_checkpoints(tenant.engine, ckpt_violations)
         acked: Dict[int, int] = {}
         ackeds.append(acked)
         name = "fault-client" if config.tenants is None \
@@ -168,10 +116,18 @@ def _start(config: SystemConfig, ops: int, ckpt_every: int
     return system, ackeds, procs, ckpt_violations
 
 
-def _state_digest(versions: Dict[int, int]) -> str:
-    payload = ",".join(f"{key}:{version}"
-                       for key, version in sorted(versions.items()))
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
+def _reference_run(system: KvSystem, procs: Callable[[], List[Any]],
+                   ckpt_violations: List[str]) -> int:
+    """Run a campaign workload to completion; return its step count T."""
+    total_steps = step_until(
+        system.sim, lambda: all(proc.triggered for proc in procs()))
+    for proc in procs():
+        if not proc.ok:
+            raise proc.exception
+    if ckpt_violations:
+        raise SimulationError(
+            f"invariants already broken in reference run: {ckpt_violations[:3]}")
+    return total_steps
 
 
 def iter_crash_points(seed: int, total_steps: int, crash_points: int,
@@ -207,73 +163,23 @@ def fault_sweep(mode: str, crash_points: int = 20, seed: int = 7,
     the namespaces physically disjoint.  Returns a :class:`SweepResult`;
     inspect ``.ok`` / ``.failures()``.
     """
-    config = _sweep_config(mode, seed, num_keys, tenants)
-
-    # Reference run: learn the workload's event-step count T.
-    system, ackeds, procs, ckpt_violations = _start(config, ops, ckpt_every)
-    total_steps = 0
-    while not all(proc.triggered for proc in procs):
-        if not system.sim.step():
-            raise SimulationError("fault sweep reference run drained early")
-        total_steps += 1
-    for proc in procs:
-        if not proc.ok:
-            raise proc.exception
-    if ckpt_violations:
-        raise SimulationError(
-            f"invariants already broken in reference run: {ckpt_violations[:3]}")
+    config = scripted_config(mode, seed, num_keys, tenants)
+    system, _, procs, ckpt_violations = start_scripted(config, ops,
+                                                       ckpt_every)
+    total_steps = _reference_run(system, lambda: procs, ckpt_violations)
 
     sweep = SweepResult(mode=mode, seed=seed, total_steps=total_steps)
-    wall = Tracer.wallclock()  # recovery runs outside simulated time
     for index, crash_step, point_rng in iter_crash_points(
             seed, total_steps, crash_points, f"fault/{mode}"):
-        system, ackeds, procs, ckpt_violations = _start(config, ops,
-                                                        ckpt_every)
-        for _ in range(crash_step):
-            if all(proc.triggered for proc in procs):
-                break
-            if not system.sim.step():
-                raise SimulationError("fault sweep crash run drained early")
-
-        acked_at_crash = [dict(acked) for acked in ackeds]
-        currents = [{record.key: record.version
-                     for record in tenant.engine.kvmap.records()}
-                    for tenant in system.tenants]
-        pre_crash_mapping = system.ssd.ftl.mapping.snapshot()
-
-        report = power_cut(system, point_rng.fork("tear"))
-        recovery_span = wall.begin("recovery", "spor_scan",
-                                   crash_step=crash_step)
-        rebuilt = recover_device(system)
-        wall.end(recovery_span)
-
-        result = CrashPointResult(
+        system, ackeds, procs, ckpt_violations = start_scripted(
+            config, ops, ckpt_every)
+        step_until(system.sim,
+                   lambda: all(proc.triggered for proc in procs), crash_step)
+        check = crash_and_check(system, point_rng.fork("tear"), ackeds,
+                                ckpt_violations)
+        sweep.results.append(CrashPointResult(
             index=index, crash_step=crash_step, sim_time_ns=system.sim.now,
-            acked_keys=sum(len(acked) for acked in acked_at_crash),
-            report=report,
-            checkpoint_violations=list(ckpt_violations),
-            recovery_wall_ns=recovery_span.duration_ns)
-        result.mapping_mismatches = sum(
-            1 for lpn in set(pre_crash_mapping) | set(rebuilt)
-            if pre_crash_mapping.get(lpn) != rebuilt.get(lpn))
-        result.invariant_violations = check_ftl_invariants(system.ssd.ftl)
-        if config.tenants is not None:
-            result.invariant_violations.extend(
-                check_namespace_isolation(system.ssd.ftl))
-        digests: List[str] = []
-        for tenant, acked, current in zip(system.tenants, acked_at_crash,
-                                          currents):
-            try:
-                recovered = check_durability(tenant.engine, acked, current)
-                digests.append(_state_digest(recovered.versions))
-            except RecoveryError as exc:
-                result.durability_error = \
-                    f"{tenant.name}: {exc}" if config.tenants is not None \
-                    else str(exc)
-                break
-        else:
-            result.recovered_digest = "+".join(digests)
-        sweep.results.append(result)
+            **vars(check)))
     return sweep
 
 
@@ -295,21 +201,19 @@ def fault_sweep(mode: str, crash_points: int = 20, seed: int = 7,
 
 
 @dataclass
-class OpenLoopCrashPoint:
+class OpenLoopCrashPoint(CrashCheck):
     """One open-loop crash/recover/verify cycle."""
 
-    index: int
-    crash_step: int
-    sim_time_ns: int
-    submitted: int
-    completed: int
-    shed: int
-    pending: int
+    index: int = 0
+    crash_step: int = 0
+    sim_time_ns: int = 0
+    submitted: int = 0
+    completed: int = 0
+    shed: int = 0
+    pending: int = 0
     """Ops past the front door but unfinished at the crash instant
     (``inflight + waiting`` on the controller)."""
 
-    acked_keys: int
-    report: CrashReport
     shed_acked_overlap: int = 0
     """Ops both shed and acked — must be zero (the no-zombie claim)."""
 
@@ -317,49 +221,20 @@ class OpenLoopCrashPoint:
     """``submitted == completed + shed + pending`` at the crash instant
     — the typed-completion ledger balances even mid-flight."""
 
-    mapping_mismatches: int = 0
-    invariant_violations: List[str] = field(default_factory=list)
-    durability_error: str = ""
-    recovered_digest: str = ""
+    def problems(self) -> List[str]:
+        problems = super().problems()
+        if self.shed_acked_overlap:
+            problems.append(
+                f"{self.shed_acked_overlap} op(s) both shed and acked")
+        if not self.reconciled:
+            problems.append(
+                f"admission ledger off: {self.submitted} submitted, "
+                f"{self.completed} completed + {self.shed} shed + "
+                f"{self.pending} pending")
+        return problems
 
-    @property
-    def ok(self) -> bool:
-        """True when recovery was exact and the admission ledger clean."""
-        return (self.shed_acked_overlap == 0
-                and self.reconciled
-                and self.mapping_mismatches == 0
-                and not self.invariant_violations
-                and not self.durability_error)
-
-
-@dataclass
-class OpenLoopSweepResult:
-    """All crash points of one open-loop (mode, seed) sweep."""
-
-    mode: str
-    seed: int
-    total_steps: int
-    results: List[OpenLoopCrashPoint] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return all(result.ok for result in self.results)
-
-    def failures(self) -> List[OpenLoopCrashPoint]:
-        return [result for result in self.results if not result.ok]
-
-    def total_shed(self) -> int:
-        """Sheds summed across crash points — the sweep only exercises
-        the shed/acked disjointness claim when this is positive."""
-        return sum(result.shed for result in self.results)
-
-    def digest(self) -> str:
-        """Stable fingerprint of the sweep (determinism checks)."""
-        digest = hashlib.sha256()
-        for result in self.results:
-            digest.update(f"{result.crash_step}:{result.shed}:"
-                          f"{result.recovered_digest}".encode())
-        return digest.hexdigest()[:16]
+    def digest_key(self) -> str:
+        return f"{self.crash_step}:{self.shed}:{self.recovered_digest}"
 
 
 def _open_loop_put(engine: StorageEngine, admission: AdmissionController,
@@ -413,9 +288,7 @@ def _start_open_loop(config: SystemConfig, spec: ArrivalSpec, ops: int,
     tenant = system.tenants[0]
     tenant.engine.start()
     ckpt_violations: List[str] = []
-    tenant.engine.on_checkpoint.append(
-        lambda engine, _report: ckpt_violations.extend(
-            check_ftl_invariants(engine.ssd.ftl)))
+    _watch_checkpoints(tenant.engine, ckpt_violations)
     admission = AdmissionController(system.sim, admission_config,
                                     label="open-crash")
     times = arrival_times(
@@ -435,31 +308,30 @@ def _start_open_loop(config: SystemConfig, spec: ArrivalSpec, ops: int,
         system.sim,
         _open_loop_checkpointer(tenant.engine, 3, max(1, span // 4)),
         name="ol-ckpt")
-    return dict(system=system, tenant=tenant, admission=admission,
+    return dict(system=system, admission=admission,
                 acked=acked, acked_indices=acked_indices,
                 shed_indices=shed_indices, workers=workers,
                 dispatcher=dispatcher, checkpointer=checkpointer,
                 ckpt_violations=ckpt_violations)
 
 
-def _open_loop_drained(run: Dict[str, Any]) -> bool:
-    return (run["dispatcher"].triggered and run["checkpointer"].triggered
-            and all(worker.triggered for worker in run["workers"]))
+def _open_loop_procs(run: Dict[str, Any]) -> List[Any]:
+    return [run["dispatcher"], run["checkpointer"]] + run["workers"]
 
 
 def open_loop_crash_sweep(mode: str, crash_points: int = 12, seed: int = 7,
                           ops: int = 160, num_keys: int = 64,
                           rate_ops_per_sec: float = 150_000.0,
                           max_inflight: int = 2, max_waiting: int = 3
-                          ) -> OpenLoopSweepResult:
+                          ) -> SweepResult:
     """Power-cut a bursty open-loop stream behind a tiny front door.
 
     The burst arrival process against ``max_inflight=2 / max_waiting=3``
-    guarantees sheds (asserted via :meth:`OpenLoopSweepResult.total_shed`
-    by the battery), and the seeded crash instants land before, inside
-    and after checkpoints.  Every crash point asserts the shed/acked
-    sets are disjoint, the admission ledger reconciles mid-flight, and
-    acked writes survive SPOR recovery.
+    guarantees sheds (asserted via :meth:`SweepResult.total_shed` by the
+    battery), and the seeded crash instants land before, inside and after
+    checkpoints.  Every crash point asserts the shed/acked sets are
+    disjoint, the admission ledger reconciles mid-flight, and acked
+    writes survive SPOR recovery.
     """
     config = tiny_config(mode=mode, seed=seed, num_keys=num_keys,
                          track_op_log=True, snapshot_metadata=True)
@@ -467,65 +339,31 @@ def open_loop_crash_sweep(mode: str, crash_points: int = 12, seed: int = 7,
     admission_config = AdmissionConfig(policy="queue",
                                        max_inflight=max_inflight,
                                        max_waiting=max_waiting)
-
-    # Reference run: learn the workload's event-step count T.
     run = _start_open_loop(config, spec, ops, admission_config)
-    total_steps = 0
-    while not _open_loop_drained(run):
-        if not run["system"].sim.step():
-            raise SimulationError(
-                "open-loop crash sweep reference run drained early")
-        total_steps += 1
-    for proc in [run["dispatcher"], run["checkpointer"]] + run["workers"]:
-        if not proc.ok:
-            raise proc.exception
-    if run["ckpt_violations"]:
-        raise SimulationError(
-            f"invariants already broken in reference run: "
-            f"{run['ckpt_violations'][:3]}")
+    total_steps = _reference_run(run["system"], lambda: _open_loop_procs(run),
+                                 run["ckpt_violations"])
 
-    sweep = OpenLoopSweepResult(mode=mode, seed=seed,
-                                total_steps=total_steps)
+    sweep = SweepResult(mode=mode, seed=seed, total_steps=total_steps)
     for index, crash_step, point_rng in iter_crash_points(
             seed, total_steps, crash_points, f"open-crash/{mode}"):
         run = _start_open_loop(config, spec, ops, admission_config)
         system = run["system"]
-        for _ in range(crash_step):
-            if _open_loop_drained(run):
-                break
-            if not system.sim.step():
-                raise SimulationError(
-                    "open-loop crash sweep crash run drained early")
-
+        step_until(system.sim,
+                   lambda: all(proc.triggered
+                               for proc in _open_loop_procs(run)),
+                   crash_step)
         admission = run["admission"]
-        acked_at_crash = dict(run["acked"])
-        current = {record.key: record.version
-                   for record in run["tenant"].engine.kvmap.records()}
-        pre_crash_mapping = system.ssd.ftl.mapping.snapshot()
-        shed_total = sum(admission.shed.values())
+        shed = sum(admission.shed.values())
         pending = admission.inflight + admission.waiting
-
-        report = power_cut(system, point_rng.fork("tear"))
-        rebuilt = recover_device(system)
-
-        result = OpenLoopCrashPoint(
+        point = dict(
             index=index, crash_step=crash_step, sim_time_ns=system.sim.now,
             submitted=admission.submitted, completed=admission.completed,
-            shed=shed_total, pending=pending,
-            acked_keys=len(acked_at_crash), report=report,
+            shed=shed, pending=pending,
             shed_acked_overlap=len(
                 run["shed_indices"] & run["acked_indices"]),
             reconciled=(admission.submitted
-                        == admission.completed + shed_total + pending))
-        result.mapping_mismatches = sum(
-            1 for lpn in set(pre_crash_mapping) | set(rebuilt)
-            if pre_crash_mapping.get(lpn) != rebuilt.get(lpn))
-        result.invariant_violations = check_ftl_invariants(system.ssd.ftl)
-        try:
-            recovered = check_durability(run["tenant"].engine,
-                                         acked_at_crash, current)
-            result.recovered_digest = _state_digest(recovered.versions)
-        except RecoveryError as exc:
-            result.durability_error = str(exc)
-        sweep.results.append(result)
+                        == admission.completed + shed + pending))
+        check = crash_and_check(system, point_rng.fork("tear"),
+                                [run["acked"]], run["ckpt_violations"])
+        sweep.results.append(OpenLoopCrashPoint(**point, **vars(check)))
     return sweep

@@ -303,13 +303,6 @@ class BlameRunReport:
     label: str
     tenants: List[Tuple[str, BlameCollector]] = field(default_factory=list)
 
-    def collector(self, name: str) -> BlameCollector:
-        """The collector of tenant ``name``."""
-        for tenant, collector in self.tenants:
-            if tenant == name:
-                return collector
-        raise KeyError(f"no blame collector for tenant {name!r}")
-
     def aggregate(self) -> BlameCollector:
         """All tenants' records pooled into one collector."""
         pooled = BlameCollector(tenant="aggregate")

@@ -147,11 +147,6 @@ class HostInterface:
         self._outstanding_ns: Dict[int, int] = {}
 
     @property
-    def outstanding(self) -> int:
-        """Commands currently holding a queue slot."""
-        return self.queue.in_use
-
-    @property
     def queued(self) -> int:
         """Commands waiting for a slot."""
         return self.queue.queue_length
@@ -170,10 +165,6 @@ class HostInterface:
                 self._outstanding_ns.pop(nsid, None)
             else:
                 self._outstanding_ns[nsid] = remaining
-
-    def outstanding_in(self, nsid: int) -> int:
-        """Admitted-but-incomplete commands belonging to one namespace."""
-        return self._outstanding_ns.get(nsid, 0)
 
     def acquire_slot(self) -> Any:
         """Event that fires when a submission-queue slot is granted."""

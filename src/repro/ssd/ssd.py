@@ -135,11 +135,6 @@ class Ssd:
         """Submit a command; event resolves with a Completion."""
         return self.controller.submit(command)
 
-    def execute(self, command: Command) -> Generator[Any, Any, Completion]:
-        """Submit and wait — convenience for single-command callers."""
-        completion = yield self.submit(command)
-        return completion
-
     # -- convenience wrappers used by tests and examples -----------------
     def read(self, lba: int, nsectors: int) -> Generator[Any, Any, List[Any]]:
         """Read tags for a sector range."""
@@ -192,11 +187,6 @@ class NamespaceHandle:
                                                        Op.LOAD_PROGRAM):
             command.nsid = self.nsid
         return self.device.submit(command)
-
-    def execute(self, command: Command) -> Generator[Any, Any, Completion]:
-        """Submit through this namespace and wait."""
-        completion = yield self.submit(command)
-        return completion
 
     def read(self, lba: int, nsectors: int) -> Generator[Any, Any, List[Any]]:
         """Read tags for a sector range inside this namespace."""

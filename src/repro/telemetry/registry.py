@@ -96,10 +96,6 @@ class Series:
         """Most recent value (None while empty)."""
         return self.points[-1][1] if self.points else None
 
-    def first(self) -> Optional[float]:
-        """Oldest retained value (None while empty)."""
-        return self.points[0][1] if self.points else None
-
     def delta(self) -> float:
         """last - first over the retained window (counter rate basis)."""
         if not self.points:
@@ -174,10 +170,6 @@ class MetricRegistry:
         except KeyError:
             raise ConfigError(f"no probe {name!r} for tenant {tenant!r}") \
                 from None
-
-    def layers(self) -> List[str]:
-        """Distinct layers with at least one probe, sorted."""
-        return sorted({probe.layer for probe in self._probes.values()})
 
     def tenants(self) -> List[str]:
         """Distinct tenant scopes (aggregate first)."""

@@ -96,6 +96,12 @@ class TestGate:
                              "--baseline", str(artifact)]) == 1
         assert "latency_p99_us" in capsys.readouterr().err
 
+    def test_one_percent_latency_growth_fails(self, artifact, tmp_path):
+        """Deterministic metrics gate exactly: no headroom to drift into."""
+        current = mutate(artifact, tmp_path, latency_p99_us=1.01)
+        assert regress.main([str(current),
+                             "--baseline", str(artifact)]) == 1
+
     def test_operations_must_match_exactly(self, artifact, tmp_path):
         current = mutate(artifact, tmp_path, operations=1.001)
         assert regress.main([str(current),

@@ -64,6 +64,12 @@ class TestCommands:
         assert "checkpoints" in out
         assert "bench artifact" not in out
 
+    def test_media_sweep_prints_small_rates(self, capsys):
+        assert main(["fault-sweep", "--media-errors", "--mode", "checkin",
+                     "--media-rates", "0.001", "--ops", "40"]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert any(row.split()[:2] == ["checkin", "0.001"] for row in rows)
+
     def test_bench_writes_artifact(self, tmp_path, capsys):
         from repro.analysis.benchfile import load_bench_artifact
         artifact_path = tmp_path / "BENCH_test.json"

@@ -11,7 +11,7 @@ from repro.fault import (
     power_cut,
     recover_device,
 )
-from repro.fault.harness import _start, _sweep_config
+from repro.fault.harness import scripted_config, start_scripted
 from repro.flash.array import FlashArray
 from repro.flash.geometry import FlashGeometry
 from repro.flash.timing import FlashTiming
@@ -84,7 +84,7 @@ class TestTornWrites:
 class TestInvariants:
     def _system(self, mode="checkin"):
         from repro.system import KvSystem
-        system = KvSystem(_sweep_config(mode, seed=5, num_keys=32))
+        system = KvSystem(scripted_config(mode, seed=5, num_keys=32))
         system.load()
         return system
 
@@ -168,8 +168,9 @@ class TestSweep:
 
     def test_crash_mid_checkpoint_recovers(self):
         """Force the crash into a running checkpoint specifically."""
-        config = _sweep_config("checkin", seed=9, num_keys=64)
-        system, (acked,), (proc,), ckpt_violations = _start(config, 120, 40)
+        config = scripted_config("checkin", seed=9, num_keys=64)
+        system, (acked,), (proc,), ckpt_violations = start_scripted(
+            config, 120, 40)
         from repro.common.rng import SeededRng
         while not system.engine.checkpoint_running:
             assert system.sim.step()
@@ -188,8 +189,8 @@ class TestSweep:
     def test_harness_detects_planted_capacitor_loss(self):
         """Sensitivity check: if the capacitor-backed staging buffer were
         volatile, the sweep's checks must notice."""
-        config = _sweep_config("checkin", seed=17, num_keys=64)
-        system, (acked,), (proc,), _ = _start(config, 120, 40)
+        config = scripted_config("checkin", seed=17, num_keys=64)
+        system, (acked,), (proc,), _ = start_scripted(config, 120, 40)
         from repro.common.rng import SeededRng
         ftl = system.ssd.ftl
         while not (acked and any(oob for oob in ftl._staged_oob.values())):
@@ -220,8 +221,8 @@ class TestTenantSweep:
         assert first.digest() == second.digest()
 
     def test_two_tenant_start_runs_one_client_each(self):
-        config = _sweep_config("checkin", seed=9, num_keys=64, tenants=2)
-        system, ackeds, procs, _ = _start(config, 60, 20)
+        config = scripted_config("checkin", seed=9, num_keys=64, tenants=2)
+        system, ackeds, procs, _ = start_scripted(config, 60, 20)
         assert len(system.tenants) == len(ackeds) == len(procs) == 2
         assert system.ssd.namespaces is not None
         while not all(proc.triggered for proc in procs):

@@ -23,6 +23,7 @@ import pytest
 
 from repro.common.units import MIB
 from repro.engine.admission import AdmissionConfig
+from repro.fault import harness
 from repro.fault.harness import open_loop_crash_sweep
 from repro.system import TenantSpec, run_config, tiny_config
 from repro.telemetry.sampler import TelemetryConfig
@@ -160,3 +161,26 @@ class TestCrashMidBurst:
         first = open_loop_crash_sweep("checkin", crash_points=4)
         second = open_loop_crash_sweep("checkin", crash_points=4)
         assert first.digest() == second.digest()
+
+    def test_checkpoint_time_violations_fail_the_point(self, monkeypatch):
+        """An FTL violation the checkpoint hook saw before the cut must
+        fail the crash point, not be dropped."""
+        real_start = harness._start_open_loop
+        runs = []
+
+        def planted_start(*args, **kwargs):
+            run = real_start(*args, **kwargs)
+            runs.append(run)
+            if len(runs) > 1:  # the reference run must stay clean
+                run["system"].tenants[0].engine.on_checkpoint.append(
+                    lambda _engine, _report:
+                        run["ckpt_violations"].append("planted"))
+            return run
+
+        monkeypatch.setattr(harness, "_start_open_loop", planted_start)
+        # Baseline: most of its seeded crash points land after the first
+        # checkpoint completes.
+        sweep = open_loop_crash_sweep("baseline", crash_points=6)
+        assert sweep.failures()
+        for point in sweep.results:
+            assert point.ok == (not point.checkpoint_violations)
