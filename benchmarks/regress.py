@@ -46,6 +46,7 @@ TOLERANCES = {
     "ckpt_blame_p99_share": 0.0,
     "knee_sustainable_ops": 0.0,
     "rto_warm_replica_ns": 0.0,
+    "events_per_op": 0.0,
 }
 """Allowed relative drift per gated metric (0.0 = must not get worse).
 

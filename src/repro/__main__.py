@@ -7,7 +7,6 @@ Usage::
     python -m repro run --tenants 2 [--arrivals 120000]
     python -m repro bench --mode checkin --workload A --threads 32
     python -m repro inspect trace.json
-    python -m repro table1
     python -m repro fault-sweep --crash-points 50 --seed 7
 
 Every single-run subcommand builds its ``SystemConfig`` through
@@ -563,9 +562,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                                blame=True)
     started = time.time()
     system = KvSystem(config)
+    events_before = system.sim._seq
     result = system.run()
     elapsed = time.time() - started
     metrics = result.metrics
+    events_per_op = ((system.sim._seq - events_before)
+                     / max(1, metrics.operations))
     summary = metrics.summary()
     rows = [[key, value] for key, value in summary.items()]
     rows.append(["checkpoints", result.checkpoint_count])
@@ -613,11 +615,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             path, bench_artifact(result, bench_params, stamp=stamp,
                                  extra_metrics={
                                      "knee_sustainable_ops": knee_ops,
-                                     "rto_warm_replica_ns": rto_ns}))
+                                     "rto_warm_replica_ns": rto_ns,
+                                     "events_per_op": events_per_op}))
         print(f"[bench artifact -> {path}]")
     print(f"\n[wall: {elapsed:.1f}s, simulated: "
           f"{metrics.duration_ns / 1e9:.3f}s, "
-          f"{result.ops_per_sec:,.0f} ops/s]")
+          f"{result.ops_per_sec:,.0f} ops/s, {events_per_op:.4f} events/op]")
     return exit_code
 
 
@@ -645,12 +648,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     print(f"[{result.metrics.operations} operations, "
           f"wall {result.wall_seconds:.2f}s, "
           f"{result.ops_per_sec:,.0f} ops/s]")
-    return 0
-
-
-def _cmd_table1(_args: argparse.Namespace) -> int:
-    from repro.experiments.table1 import render_table1
-    print(render_table1())
     return 0
 
 
@@ -998,9 +995,6 @@ def build_parser() -> argparse.ArgumentParser:
                                   help="print the per-series overview, "
                                        "watchdog events and health report")
     telemetry_parser.set_defaults(handler=_cmd_telemetry)
-
-    commands.add_parser("table1", help="print the Table-I configuration") \
-        .set_defaults(handler=_cmd_table1)
 
     fault_parser = commands.add_parser(
         "fault-sweep",

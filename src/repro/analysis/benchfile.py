@@ -42,6 +42,7 @@ GATED_METRICS = (
     "ckpt_blame_p99_share",
     "knee_sustainable_ops",
     "rto_warm_replica_ns",
+    "events_per_op",
 )
 """Metrics the regression gate tracks (regress.py assigns tolerances).
 
@@ -56,6 +57,12 @@ primary power-cut to the promoted replica's first served read, over the
 compact seeded kill campaign in
 ``repro.experiments.recovery_matrix.bench_rto_probe``.  Like the knee it
 rides along via ``extra_metrics``.
+
+``events_per_op`` is the simulator's own work: kernel events scheduled
+during the bench run (``Simulator._seq``) per completed operation.  It
+is deterministic, so it gates a change to the event kernel or to any
+layer's yields exactly, on any machine; ``repro bench`` attaches it via
+``extra_metrics``.
 
 ``ops_per_sec`` is the odd one out: it measures the *simulator* (completed
 operations per host wall-clock second), not the simulated system, so it is

@@ -26,7 +26,7 @@ from typing import Any, Generator, List, Optional
 
 from repro.common.errors import CheckpointMediaError
 from repro.common.units import ceil_div
-from repro.engine.journal import FrozenEpoch
+from repro.engine.journal import MEDIA_RETRY_LIMIT, FrozenEpoch
 from repro.engine.records import JournalEntry
 from repro.sim.core import Simulator, all_of
 from repro.sim.process import spawn
@@ -60,25 +60,22 @@ class CheckpointReport:
         return self.finished_at - self.started_at
 
 
+CKPT_PARALLELISM = 64
+"""Concurrent outstanding commands during read/write/CoW phases."""
+
+COW_BATCH = 256
+"""Descriptors per multi-CoW / checkpoint command."""
+
+METADATA_BYTES_PER_ENTRY = 16
+"""Host metadata appended per checkpointed entry (baseline/ISC-A/B)."""
+
+
 @dataclass(frozen=True)
 class CheckpointPolicy:
-    """Host-side knobs shared by the strategies."""
-
-    parallelism: int = 16
-    """Concurrent outstanding commands during read/write/CoW phases."""
-
-    cow_batch: int = 256
-    """Descriptors per multi-CoW / checkpoint command."""
-
-    metadata_bytes_per_entry: int = 16
-    """Host metadata appended per checkpointed entry (baseline/ISC-A/B)."""
+    """Host-side wiring shared by the strategies."""
 
     metadata_lba: int = 0
     """Reserved metadata region (set by the engine at wiring time)."""
-
-    media_retry_limit: int = 4
-    """Fresh re-issues of a checkpoint command after a MEDIA_ERROR
-    completion before the checkpoint is abandoned."""
 
 
 class CheckpointStrategy(abc.ABC):
@@ -165,7 +162,7 @@ class CheckpointStrategy(abc.ABC):
             if completion.ok:
                 return completion
             if completion.status is Status.MEDIA_ERROR \
-                    and attempts < self.policy.media_retry_limit:
+                    and attempts < MEDIA_RETRY_LIMIT:
                 attempts += 1
                 self.ssd.stats.counter("ckpt.media_resubmits").add(1)
                 continue
@@ -175,7 +172,6 @@ class CheckpointStrategy(abc.ABC):
 
     def _pooled(self, jobs: List[Any]) -> Generator[Any, Any, None]:
         """Run generator jobs with bounded concurrency."""
-        width = max(1, self.policy.parallelism)
         queue = list(reversed(jobs))
 
         def worker():
@@ -184,7 +180,7 @@ class CheckpointStrategy(abc.ABC):
                 yield from job
 
         workers = [spawn(self.sim, worker(), name=f"ckpt-worker{i}")
-                   for i in range(min(width, len(jobs)))]
+                   for i in range(min(CKPT_PARALLELISM, len(jobs)))]
         if workers:
             yield all_of(self.sim, workers)
 
@@ -193,7 +189,7 @@ class CheckpointStrategy(abc.ABC):
                              trace_parent: Any = None
                              ) -> Generator[Any, Any, None]:
         """Baseline/ISC-A/B: the host persists checkpoint metadata itself."""
-        meta_bytes = max(512, entry_count * self.policy.metadata_bytes_per_entry)
+        meta_bytes = max(512, entry_count * METADATA_BYTES_PER_ENTRY)
         nsectors = ceil_div(meta_bytes, 512)
         span = self._phase(trace_parent, "metadata_persist", bytes=meta_bytes)
 
@@ -374,10 +370,9 @@ class IscBCheckpointer(CheckpointStrategy):
                         report: CheckpointReport, op: Op,
                         trace_parent: Any = None
                         ) -> Generator[Any, Any, None]:
-        batch_size = max(1, self.policy.cow_batch)
         ordered = sorted(latest, key=lambda entry: entry.target_lba)
-        batches = [ordered[i:i + batch_size]
-                   for i in range(0, len(ordered), batch_size)]
+        batches = [ordered[i:i + COW_BATCH]
+                   for i in range(0, len(ordered), COW_BATCH)]
         cow_span = self._phase(trace_parent, "cow_remap",
                                entries=len(latest), batches=len(batches))
 

@@ -32,7 +32,11 @@ from repro.engine.checkpointer import (
     CheckpointReport,
     make_strategy,
 )
-from repro.engine.journal import JournalConfig, JournalManager
+from repro.engine.journal import (
+    MEDIA_RETRY_LIMIT,
+    JournalConfig,
+    JournalManager,
+)
 from repro.engine.kvmap import KeyValueMap
 from repro.obs.blame import fold_completion
 from repro.telemetry.names import safe_ratio
@@ -42,6 +46,12 @@ from repro.ssd.ssd import Ssd
 
 MODES = ("baseline", "isc_a", "isc_b", "isc_c", "checkin")
 """The five evaluated configurations, in the paper's order."""
+
+MEM_HIT_NS = 2_000
+"""Query served entirely from engine memory."""
+
+CPU_QUERY_NS = 1_000
+"""Host CPU cost per query before any storage work."""
 
 
 @dataclass(frozen=True)
@@ -64,23 +74,10 @@ class EngineConfig:
     mem_cache_records: int = 1024
     """Engine block-cache capacity, in records."""
 
-    mem_hit_ns: int = 2_000
-    """Query served entirely from engine memory."""
-
-    cpu_query_ns: int = 1_000
-    """Host CPU cost per query before any storage work."""
-
-    ckpt_parallelism: int = 16
-    cow_batch: int = 256
     lock_queries_during_checkpoint: bool = False
     verify_reads: bool = True
     """Assert that every read returns the expected key (catches
     consistency bugs in the pipeline; cheap enough to keep on)."""
-
-    media_retry_limit: int = 4
-    """Engine-level fresh-command re-issues of a failed read before the
-    data is declared unreadable.  (The controller and FTL retry below
-    this, so exhausting it means a genuinely uncorrectable location.)"""
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
@@ -93,8 +90,6 @@ class EngineConfig:
         for start, size, name in regions:
             if start < 0 or size < 1:
                 raise ConfigError(f"invalid {name} region")
-        if self.media_retry_limit < 0:
-            raise ConfigError("media_retry_limit must be >= 0")
         ordered = sorted(regions)
         for (s1, n1, name1), (s2, _n2, name2) in zip(ordered, ordered[1:]):
             if s1 + n1 > s2:
@@ -195,17 +190,14 @@ class StorageEngine:
                                              else 1)))
         self.strategy = make_strategy(
             self.config.mode, sim, ssd,
-            CheckpointPolicy(parallelism=self.config.ckpt_parallelism,
-                             cow_batch=self.config.cow_batch,
-                             metadata_lba=self.config.meta_lba_start))
+            CheckpointPolicy(metadata_lba=self.config.meta_lba_start))
         self.mem_cache = MemoryCache(self.config.mem_cache_records)
         self.stats = ssd.stats
         # Per-query hot path: the config is frozen and counters are
         # get-or-create, so resolve both once instead of per operation.
-        self._cpu_query_ns = self.config.cpu_query_ns
-        self._mem_hit_ns = self.config.mem_hit_ns
+        self._cpu_query_ns = CPU_QUERY_NS
+        self._mem_hit_ns = MEM_HIT_NS
         self._verify_reads = self.config.verify_reads
-        self._media_retry_limit = self.config.media_retry_limit
         self._update_counter = self.stats.counter("query.update")
         self._read_mem_counter = self.stats.counter("query.read_mem")
         self._read_storage_counter = self.stats.counter("query.read_storage")
@@ -438,7 +430,7 @@ class StorageEngine:
                                 else "media_retry")
             if completion.ok:
                 return completion
-            if attempts < self._media_retry_limit:
+            if attempts < MEDIA_RETRY_LIMIT:
                 attempts += 1
                 self.stats.counter("query.read_reissues").add(1)
                 continue

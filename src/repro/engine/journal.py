@@ -24,6 +24,13 @@ from repro.sim.process import Interrupt, spawn
 from repro.ssd.commands import Status, write_command
 from repro.ssd.ssd import Ssd
 
+MEDIA_RETRY_LIMIT = 4
+"""Host-side fresh-command re-issues after the device reports a media
+error, before the engine gives up: a journal transaction then degrades
+the engine, a checkpoint command abandons the checkpoint and a data read
+declares the data unreadable.  The controller and FTL retry below this,
+so exhausting it means a genuinely uncorrectable location."""
+
 
 @dataclass(frozen=True)
 class JournalConfig:
@@ -45,10 +52,6 @@ class JournalConfig:
     read-modify-write against the FTL mapping unit — only the checkpoint's
     scattered small writes do."""
 
-    media_retry_limit: int = 4
-    """Fresh-command re-submissions of a journal transaction after the
-    device reports a media error, before the engine degrades."""
-
     def __post_init__(self) -> None:
         if self.total_sectors < 4 or self.total_sectors % 2:
             raise EngineError("journal area needs an even sector count >= 4")
@@ -58,8 +61,6 @@ class JournalConfig:
             raise EngineError("max_txn_logs must be >= 1")
         if self.txn_align_sectors < 1:
             raise EngineError("txn_align_sectors must be >= 1")
-        if self.media_retry_limit < 0:
-            raise EngineError("media_retry_limit must be >= 0")
 
     @property
     def half_sectors(self) -> int:
@@ -317,7 +318,7 @@ class JournalManager:
             if completion.ok:
                 break
             if completion.status is Status.MEDIA_ERROR \
-                    and attempts < self.config.media_retry_limit:
+                    and attempts < MEDIA_RETRY_LIMIT:
                 attempts += 1
                 self.stats.counter("journal.media_resubmits").add(1)
                 continue

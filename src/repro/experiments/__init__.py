@@ -7,8 +7,6 @@ from repro.experiments.base import (
     QUICK,
     ExperimentScale,
     paper_config,
-    run_modes,
-    sweep,
 )
 
 __all__ = [
@@ -18,6 +16,4 @@ __all__ = [
     "QUICK",
     "ExperimentScale",
     "paper_config",
-    "run_modes",
-    "sweep",
 ]

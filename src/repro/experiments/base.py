@@ -13,11 +13,10 @@ realistic, so ratios and orderings are the meaningful output.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, Iterable, List, Sequence
+from typing import Sequence
 
 from repro.common.units import MIB, MS
 from repro.system.config import SystemConfig
-from repro.system.system import RunResult, run_config
 
 ALL_MODES = ("baseline", "isc_a", "isc_b", "isc_c", "checkin")
 HEADLINE_MODES = ("baseline", "isc_c", "checkin")
@@ -58,15 +57,3 @@ def paper_config(mode: str, scale: ExperimentScale = QUICK,
         verify_reads=False,
     )
     return replace(base, **overrides) if overrides else base
-
-
-def run_modes(modes: Iterable[str],
-              make_config: Callable[[str], SystemConfig]
-              ) -> Dict[str, RunResult]:
-    """Run one config per mode; returns results keyed by mode."""
-    return {mode: run_config(make_config(mode)) for mode in modes}
-
-
-def sweep(values: Iterable, make_config: Callable) -> List[RunResult]:
-    """Run one config per sweep value, in order."""
-    return [run_config(make_config(value)) for value in values]

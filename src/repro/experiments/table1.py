@@ -10,6 +10,8 @@ from __future__ import annotations
 from repro.analysis.tables import format_table
 from repro.common.units import format_bytes, format_time
 from repro.experiments.base import QUICK, ExperimentScale, paper_config
+from repro.ftl.ftl import WRITE_BUFFER_BYTES
+from repro.ssd.controller import CPU_CORES
 from repro.system.config import DEFAULT_MAPPING_UNITS, SystemConfig
 
 
@@ -33,10 +35,10 @@ def render_table1(config: SystemConfig = None) -> str:
         ["Host", "Engine block cache", f"{config.mem_cache_records} records"],
         ["Host", "PCIe", f"{config.pcie_bandwidth / 1e9:.1f} GB/s, "
          f"queue depth {config.queue_depth}"],
-        ["Storage", "Embedded processors", str(config.ssd_cpu_cores)],
+        ["Storage", "Embedded processors", str(CPU_CORES)],
         ["Storage", "Data cache",
          f"{config.read_cache_units} units read / "
-         f"{format_bytes(config.write_buffer_bytes)} staging"],
+         f"{format_bytes(WRITE_BUFFER_BYTES)} staging"],
         ["Storage", "Mapping unit",
          " / ".join(f"{mode}:{unit}" for mode, unit in
                     sorted(DEFAULT_MAPPING_UNITS.items()))],

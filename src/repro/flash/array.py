@@ -25,6 +25,7 @@ from repro.common.errors import (
     MediaProgramError,
     MediaReadError,
 )
+from repro.common.units import US
 from repro.flash.block import Block
 from repro.flash.geometry import FlashGeometry
 from repro.flash.media import MediaErrorModel, quiet_model
@@ -32,6 +33,10 @@ from repro.flash.timing import FlashTiming
 from repro.sim.core import Simulator
 from repro.sim.resources import Resource
 from repro.sim.stats import StatRegistry
+
+READ_RETRY_NS = 70 * US
+"""Extra array time per read-retry level (re-sense at a shifted
+voltage; slightly slower than a first read)."""
 
 
 class FlashArray:
@@ -169,7 +174,7 @@ class FlashArray:
                 else self.media.config.max_read_retries
             if retries:
                 self.stats.counter("media.read_retry").add(retries)
-                yield self.timing.read_retry_ns * retries
+                yield READ_RETRY_NS * retries
             if attempt == 0:
                 self.stats.counter("media.read_uecc").add(1)
                 recorder = self.sim.flightrec

@@ -19,7 +19,7 @@ Error probabilities compose multiplicatively from the physics the paper
 leaves implicit:
 
 * **wear** — P/E cycling degrades the oxide; probability scales with
-  ``1 + (erase_count / wear_reference_pe) ** wear_exponent``;
+  ``1 + (erase_count / WEAR_REFERENCE_PE) ** WEAR_EXPONENT``;
 * **retention** — charge leaks over time; scales with the block's age
   since its first post-erase program;
 * **read disturb** — reads softly program neighbouring cells; scales
@@ -27,7 +27,7 @@ leaves implicit:
 
 Read-retry models the extra sensing levels: each retry level re-draws
 failure independently (a fresh draw ≈ a different read voltage), and
-each attempt costs :attr:`~repro.flash.timing.FlashTiming.read_retry_ns`
+each attempt costs :data:`~repro.flash.array.READ_RETRY_NS`
 of extra LUN time.  A UECC is *transient* in this model — re-issuing the
 read draws fresh levels — which matches retry-based recovery in real
 firmware and keeps acknowledged data recoverable by construction.
@@ -47,6 +47,21 @@ READ = "read"
 
 _DRAW_DENOM = float(1 << 64)
 
+WEAR_EXPONENT = 2.0
+"""How sharply P/E wear amplifies all failure rates."""
+
+WEAR_REFERENCE_PE = 3000
+"""P/E count at which the wear multiplier reaches 2x base."""
+
+RETENTION_SCALE_NS = 10_000_000_000
+"""Data age at which retention doubles the read-failure rate."""
+
+READ_DISTURB_THRESHOLD = 10_000
+"""Reads since erase below which disturb adds nothing."""
+
+READ_DISTURB_SCALE = 10_000
+"""Excess reads that double the UECC rate once past the threshold."""
+
 
 @dataclass(frozen=True)
 class MediaErrorConfig:
@@ -63,21 +78,6 @@ class MediaErrorConfig:
     read_uecc_base: float = 0.0
     """Base per-attempt uncorrectable-read probability."""
 
-    wear_exponent: float = 2.0
-    """How sharply P/E wear amplifies all failure rates."""
-
-    wear_reference_pe: int = 3000
-    """P/E count at which the wear multiplier reaches 2x base."""
-
-    retention_scale_ns: int = 10_000_000_000
-    """Data age at which retention doubles the read-failure rate."""
-
-    read_disturb_threshold: int = 10_000
-    """Reads since erase below which disturb adds nothing."""
-
-    read_disturb_scale: int = 10_000
-    """Excess reads that double the UECC rate once past the threshold."""
-
     max_read_retries: int = 3
     """Extra read-retry voltage levels tried before declaring UECC."""
 
@@ -92,9 +92,6 @@ class MediaErrorConfig:
                 raise ConfigError(f"{name} must be in [0, 1], got {rate}")
         if self.max_read_retries < 0:
             raise ConfigError("max_read_retries must be >= 0")
-        if self.wear_reference_pe <= 0 or self.retention_scale_ns <= 0 \
-                or self.read_disturb_scale <= 0:
-            raise ConfigError("wear/retention/disturb scales must be > 0")
         if not 0.0 < self.max_probability <= 1.0:
             raise ConfigError("max_probability must be in (0, 1]")
 
@@ -119,20 +116,18 @@ class MediaErrorModel:
 
     # -- probability composition ----------------------------------------
     def _wear_multiplier(self, erase_count: int) -> float:
-        cfg = self.config
-        return 1.0 + (erase_count / cfg.wear_reference_pe) ** cfg.wear_exponent
+        return 1.0 + (erase_count / WEAR_REFERENCE_PE) ** WEAR_EXPONENT
 
     def _retention_multiplier(self, age_ns: int) -> float:
         if age_ns <= 0:
             return 1.0
-        return 1.0 + age_ns / self.config.retention_scale_ns
+        return 1.0 + age_ns / RETENTION_SCALE_NS
 
     def _disturb_multiplier(self, reads_since_erase: int) -> float:
-        cfg = self.config
-        excess = reads_since_erase - cfg.read_disturb_threshold
+        excess = reads_since_erase - READ_DISTURB_THRESHOLD
         if excess <= 0:
             return 1.0
-        return 1.0 + excess / cfg.read_disturb_scale
+        return 1.0 + excess / READ_DISTURB_SCALE
 
     def _cap(self, probability: float) -> float:
         return min(probability, self.config.max_probability)

@@ -33,14 +33,9 @@ class FlashTiming:
     channel_setup_ns: int = 200
     """Fixed command/address cycle cost per channel transaction."""
 
-    read_retry_ns: int = 70 * US
-    """Extra array time per read-retry level (re-sense at a shifted
-    voltage; slightly slower than a first read)."""
-
     def __post_init__(self) -> None:
         for field_name in ("read_ns", "program_ns", "erase_ns",
-                           "channel_bandwidth", "channel_setup_ns",
-                           "read_retry_ns"):
+                           "channel_bandwidth", "channel_setup_ns"):
             if getattr(self, field_name) <= 0:
                 raise ConfigError(f"{field_name} must be positive")
 

@@ -66,8 +66,7 @@ def default_stripe_width(geometry: FlashGeometry) -> int:
 class BlockAllocator:
     """Free-block pool plus per-stream striped write points."""
 
-    def __init__(self, geometry: FlashGeometry, units_per_page: int,
-                 stripe_width: int = 0) -> None:
+    def __init__(self, geometry: FlashGeometry, units_per_page: int) -> None:
         if units_per_page < 1:
             raise FtlError("units_per_page must be >= 1")
         if geometry.page_size % units_per_page != 0:
@@ -75,8 +74,7 @@ class BlockAllocator:
         self.geometry = geometry
         self.units_per_page = units_per_page
         self.units_per_block = units_per_page * geometry.pages_per_block
-        self.stripe_width = stripe_width if stripe_width > 0 \
-            else default_stripe_width(geometry)
+        self.stripe_width = default_stripe_width(geometry)
         # Free blocks segregated per LUN so lanes can spread across planes.
         self._free_per_lun: Dict[int, List[int]] = {
             lun: [] for lun in range(geometry.num_luns)}

@@ -49,6 +49,32 @@ from repro.sim.stats import StatRegistry
 SectorTag = Any
 UnitTags = Tuple[SectorTag, ...]
 
+WRITE_BUFFER_BYTES = 2 * MIB
+"""Capacitor-backed staging buffer capacity in bytes (converted to
+mapping units at construction, so all configurations get the same
+DRAM regardless of mapping granularity)."""
+
+MAP_UPDATE_NS = 60
+"""DRAM mapping-table update cost per entry."""
+
+REMAP_ENTRY_NS = 150
+"""Cost to process one CoW remap entry (lookup + two map updates)."""
+
+STAGED_READ_NS = 800
+"""Serving a read from the controller staging buffer."""
+
+META_ENTRY_BYTES = 8
+"""Persisted size of one dirty mapping entry."""
+
+READ_RECLAIM_THRESHOLD = 100_000
+"""Reads-since-erase beyond which a full block is proactively
+migrated and erased (read-disturb reclaim).  The high value keeps
+the scrubber out of the way of ordinary runs."""
+
+RELOCATE_ATTEMPT_LIMIT = 8
+"""Back-to-back program failures tolerated while relocating one
+page's units before the device degrades to read-only."""
+
 
 @dataclass(frozen=True)
 class FtlConfig:
@@ -62,26 +88,6 @@ class FtlConfig:
 
     gc_high_watermark: int = 4
     """Background GC target: idle device reclaims up to this level."""
-
-    write_buffer_bytes: int = 2 * MIB
-    """Capacitor-backed staging buffer capacity in bytes (converted to
-    mapping units at construction, so all configurations get the same
-    DRAM regardless of mapping granularity)."""
-
-    map_update_ns: int = 60
-    """DRAM mapping-table update cost per entry."""
-
-    remap_entry_ns: int = 150
-    """Cost to process one CoW remap entry (lookup + two map updates)."""
-
-    staged_read_ns: int = 800
-    """Serving a read from the controller staging buffer."""
-
-    stripe_width: int = 0
-    """Stripe lanes per write stream (0 = auto from the geometry)."""
-
-    meta_entry_bytes: int = 8
-    """Persisted size of one dirty mapping entry."""
 
     map_cache_bytes: int = 256 * 1024
     """DFTL-style map cache: mapping-table pages resident in device DRAM.
@@ -113,30 +119,17 @@ class FtlConfig:
     exhausted (UECC).  Each re-issue draws fresh retry levels, which is
     how transient UECCs recover."""
 
-    read_reclaim_threshold: int = 100_000
-    """Reads-since-erase beyond which a full block is proactively
-    migrated and erased (read-disturb reclaim).  The high default keeps
-    the scrubber out of the way of ordinary runs."""
-
-    relocate_attempt_limit: int = 8
-    """Back-to-back program failures tolerated while relocating one
-    page's units before the device degrades to read-only."""
-
     def __post_init__(self) -> None:
         if self.mapping_unit % SECTOR_SIZE != 0:
             raise ConfigError("mapping_unit must be a multiple of 512")
         if self.mapping_unit < SECTOR_SIZE:
             raise ConfigError("mapping_unit must be >= 512")
-        if self.write_buffer_bytes < self.mapping_unit:
-            raise ConfigError("write_buffer_bytes must hold at least one unit")
+        if self.mapping_unit > WRITE_BUFFER_BYTES:
+            raise ConfigError("mapping_unit must fit the write buffer")
         if self.spare_block_budget < 0:
             raise ConfigError("spare_block_budget must be >= 0")
         if self.read_reissue_limit < 0:
             raise ConfigError("read_reissue_limit must be >= 0")
-        if self.read_reclaim_threshold < 1:
-            raise ConfigError("read_reclaim_threshold must be >= 1")
-        if self.relocate_attempt_limit < 1:
-            raise ConfigError("relocate_attempt_limit must be >= 1")
 
 
 class Ftl:
@@ -159,13 +152,11 @@ class Ftl:
         self.sectors_per_unit = self.config.mapping_unit // SECTOR_SIZE
         self.mapping = SubPageMappingTable(self.units_per_page,
                                            self.geometry.pages_per_block)
-        self.allocator = BlockAllocator(self.geometry, self.units_per_page,
-                                        stripe_width=self.config.stripe_width)
+        self.allocator = BlockAllocator(self.geometry, self.units_per_page)
         self.gc = GarbageCollector(sim, self,
                                    self.config.gc_low_watermark,
                                    self.config.gc_high_watermark)
-        buffer_units = max(64, self.config.write_buffer_bytes
-                           // self.config.mapping_unit)
+        buffer_units = max(64, WRITE_BUFFER_BYTES // self.config.mapping_unit)
         self._write_buffer = Resource(sim, buffer_units, name="write-buffer")
         self._staged_tags: Dict[int, UnitTags] = {}
         self._staged_oob: Dict[int, Any] = {}
@@ -175,7 +166,7 @@ class Ftl:
         self._dirty_map_entries = 0
         self._persisted_snapshot: Dict[int, int] = {}
         self._map_entries_per_page = max(
-            1, self.geometry.page_size // self.config.meta_entry_bytes)
+            1, self.geometry.page_size // META_ENTRY_BYTES)
         self._map_cache_pages = (self.config.map_cache_bytes
                                  // self.geometry.page_size)
         self._map_cache: "OrderedDict[int, None]" = OrderedDict()
@@ -183,8 +174,8 @@ class Ftl:
         # Per-unit hot path: the config is frozen and counters are
         # get-or-create, so resolve the per-write costs and counter
         # objects once instead of per operation.
-        self._map_update_ns = self.config.map_update_ns
-        self._staged_read_ns = self.config.staged_read_ns
+        self._map_update_ns = MAP_UPDATE_NS
+        self._staged_read_ns = STAGED_READ_NS
         self._mapping_unit = self.config.mapping_unit
         self._map_miss_counter = self.stats.counter("ftl.map_miss")
         self._unit_write_counters: Dict[str, Any] = {}
@@ -559,7 +550,7 @@ class Ftl:
         """
         failed_block = self.geometry.block_of_page(program.ppa)
         self.suspect_blocks.add(failed_block)
-        if attempt + 1 >= self.config.relocate_attempt_limit:
+        if attempt + 1 >= RELOCATE_ATTEMPT_LIMIT:
             # Pathological cascade: stop re-issuing.  Units stay staged,
             # so reads still serve them; the device degrades instead of
             # looping forever.
@@ -604,7 +595,7 @@ class Ftl:
             new_programs.extend(programs)
         if relocated:
             self.stats.counter("media.relocations").add(relocated)
-            yield self.config.map_update_ns * relocated
+            yield MAP_UPDATE_NS * relocated
         for new_program in new_programs:
             self._launch_program(new_program, attempt=attempt + 1)
         if program.padded_units:
@@ -813,10 +804,10 @@ class Ftl:
                     self._write_seq += 1
                     self.op_log.append((self._write_seq, "trim", lpn, 0))
         if invalidated:
-            yield invalidated * self.config.map_update_ns
+            yield invalidated * MAP_UPDATE_NS
             if blame is not None:
                 add_ns(blame, "ftl_map",
-                       invalidated * self.config.map_update_ns)
+                       invalidated * MAP_UPDATE_NS)
             self.stats.counter("ftl.trim.units").add(invalidated)
         if span is not None:
             tracer.end(span, units=invalidated)
@@ -847,7 +838,7 @@ class Ftl:
                 self.op_log.append((self._write_seq, "remap", src_lpn, dst_lpn))
         self._note_dirty_entries(len(pairs))
         if pairs:
-            yield len(pairs) * self.config.remap_entry_ns
+            yield len(pairs) * REMAP_ENTRY_NS
             self.stats.counter(f"ftl.remap.{cause}").add(len(pairs))
         if span is not None:
             tracer.end(span)
@@ -884,7 +875,7 @@ class Ftl:
         self._note_dirty_entries(len(referrers) or 1)
         for program in programs:
             self._launch_program(program)
-        yield self.config.map_update_ns
+        yield MAP_UPDATE_NS
         self.stats.counter("ftl.units.write.gc").add(
             1, num_bytes=self.config.mapping_unit)
 
@@ -947,7 +938,7 @@ class Ftl:
         regular GC to retire.
         """
         best: Optional[int] = None
-        best_reads = self.config.read_reclaim_threshold - 1
+        best_reads = READ_RECLAIM_THRESHOLD - 1
         for block in sorted(self.allocator.full_blocks):
             if block in self.grown_bad or block in self.suspect_blocks:
                 continue
@@ -968,13 +959,13 @@ class Ftl:
     def _maybe_persist_metadata(self) -> Generator[Any, Any, None]:
         # Persist only once a full page worth of entries accumulated, so
         # the flash sees parallel-friendly bulk metadata writes.
-        page_entries = (self.geometry.page_size // self.config.meta_entry_bytes)
+        page_entries = (self.geometry.page_size // META_ENTRY_BYTES)
         if self._dirty_map_entries >= page_entries:
             yield from self.persist_metadata()
 
     def persist_metadata(self, force: bool = False) -> Generator[Any, Any, None]:
         """Write accumulated dirty mapping entries to flash (meta stream)."""
-        dirty_bytes = self._dirty_map_entries * self.config.meta_entry_bytes
+        dirty_bytes = self._dirty_map_entries * META_ENTRY_BYTES
         units = dirty_bytes // self.config.mapping_unit
         if force and dirty_bytes > 0:
             units = max(units, ceil_div(dirty_bytes, self.config.mapping_unit))

@@ -119,7 +119,7 @@ class GarbageCollector:
         """Read-reclaim: migrate + erase the most disturbed block, if any.
 
         Run from the controller's idle loop; returns False when no block
-        is past :attr:`~repro.ftl.ftl.FtlConfig.read_reclaim_threshold`.
+        is past :data:`~repro.ftl.ftl.READ_RECLAIM_THRESHOLD`.
         """
         yield self._lock.acquire()
         try:

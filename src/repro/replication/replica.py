@@ -53,7 +53,7 @@ from repro.replication.store import CheckpointStore
 from repro.sim.core import Event
 from repro.sim.process import Interrupt, Process, spawn
 from repro.system.config import SystemConfig
-from repro.system.system import KvSystem
+from repro.system.system import TRIGGER_POLL_NS, KvSystem
 
 ACK_BYTES = 32
 """Modeled wire size of an ack/nack control message."""
@@ -310,7 +310,7 @@ class ReplicatedPair:
         last = sim.now
         try:
             while True:
-                yield view.trigger_poll_ns
+                yield TRIGGER_POLL_NS
                 if engine.checkpoint_running or engine.degraded:
                     continue
                 if len(engine.journal.active_jmt) == 0:

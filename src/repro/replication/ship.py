@@ -50,9 +50,6 @@ class LinkSpec:
     """Bounded ship queue: un-acked batches in flight before the shipper
     stalls.  Depth 1 degenerates to ship-and-wait."""
 
-    poll_ns: int = 20_000
-    """Shipper wake-up granularity when idle-waiting for new commits."""
-
     def __post_init__(self) -> None:
         if self.latency_ns < 0:
             raise ConfigError("link latency_ns must be >= 0")
@@ -60,8 +57,6 @@ class LinkSpec:
             raise ConfigError("link gbit_per_s must be > 0")
         if self.batch_ops < 1 or self.queue_depth < 1:
             raise ConfigError("batch_ops and queue_depth must be >= 1")
-        if self.poll_ns < 1:
-            raise ConfigError("poll_ns must be >= 1")
 
     def transfer_ns(self, nbytes: int) -> int:
         """Serialization delay of ``nbytes`` on this link."""

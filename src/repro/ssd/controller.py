@@ -24,7 +24,7 @@ from repro.common.errors import (
     NamespaceError,
 )
 from repro.common.units import US
-from repro.ftl.ftl import Ftl
+from repro.ftl.ftl import MAP_UPDATE_NS, STAGED_READ_NS, Ftl
 from repro.obs.blame import add_ns
 from repro.sim.core import Event, Simulator
 from repro.sim.process import spawn
@@ -38,19 +38,26 @@ from repro.ssd.interface import HostInterface, NamespaceLayout
 if TYPE_CHECKING:  # avoid a package-level import cycle with repro.checkin
     from repro.checkin.isce import InStorageCheckpointEngine
 
+CPU_CORES = 2
+"""Embedded cores available to firmware command handling."""
+
+CPU_COMMAND_NS = 1_500
+"""Firmware cost per command (parse, map-cache lookups, completion)."""
+
+CPU_SECTOR_NS = 50
+"""Incremental firmware cost per sector of payload."""
+
+IDLE_GC_INTERVAL_NS = 500 * US
+"""How often the background daemon checks for idle-time GC."""
+
+MEDIA_RETRY_BACKOFF_NS = 100_000
+"""Backoff before re-dispatching after a media error, multiplied by the
+attempt number (linear backoff in simulated time)."""
+
 
 @dataclass(frozen=True)
 class ControllerConfig:
-    """Embedded-processor and cache parameters."""
-
-    cpu_cores: int = 2
-    """Embedded cores available to firmware command handling."""
-
-    cpu_command_ns: int = 1_500
-    """Firmware cost per command (parse, map-cache lookups, completion)."""
-
-    cpu_sector_ns: int = 50
-    """Incremental firmware cost per sector of payload."""
+    """Controller cache and media-retry parameters."""
 
     read_cache_units: int = 4096
     """DRAM read-cache capacity in mapping units."""
@@ -59,26 +66,13 @@ class ControllerConfig:
     """DRAM write-coalescing buffer capacity in bytes (0 = write
     through).  Capacitor-backed: writes are durable once merged here."""
 
-    idle_gc_interval_ns: int = 500 * US
-    """How often the background daemon checks for idle-time GC."""
-
     media_retry_limit: int = 3
     """Whole-command re-dispatches after a media error before the
     command completes with ``Status.MEDIA_ERROR``."""
 
-    media_retry_backoff_ns: int = 100_000
-    """Backoff before re-dispatching, multiplied by the attempt number
-    (linear backoff in simulated time)."""
-
     def __post_init__(self) -> None:
-        if self.cpu_cores < 1:
-            raise ConfigError("cpu_cores must be >= 1")
-        if self.idle_gc_interval_ns <= 0:
-            raise ConfigError("idle_gc_interval_ns must be positive")
         if self.media_retry_limit < 0:
             raise ConfigError("media_retry_limit must be >= 0")
-        if self.media_retry_backoff_ns < 0:
-            raise ConfigError("media_retry_backoff_ns must be >= 0")
 
 
 MUTATING_OPS = (Op.WRITE, Op.TRIM, Op.COW, Op.COW_MULTI, Op.CHECKPOINT,
@@ -105,7 +99,7 @@ class SsdController:
         self.write_buffer = WriteCoalescer(ftl.sectors_per_unit,
                                            coalesce_units)
         self.stats = ftl.stats
-        self._cpu = Resource(sim, self.config.cpu_cores, name="ssd-cpu")
+        self._cpu = Resource(sim, CPU_CORES, name="ssd-cpu")
         self._outstanding = 0
         self._outstanding_user = 0
         self._outstanding_ckpt = 0
@@ -239,7 +233,6 @@ class SsdController:
                     if command.nsid is not None else None)
         if ns_gauge is not None:
             ns_gauge.adjust(1)
-            self.interface.note_admitted(command.nsid)
         if is_user:
             self._outstanding_user += 1
         try:
@@ -253,8 +246,7 @@ class SsdController:
                 t_stage = self.sim.now
             yield self._cpu.acquire()
             try:
-                yield (self.config.cpu_command_ns +
-                       command.nsectors * self.config.cpu_sector_ns)
+                yield CPU_COMMAND_NS + command.nsectors * CPU_SECTOR_NS
             finally:
                 self._cpu.release()
             if blame is not None:
@@ -288,7 +280,6 @@ class SsdController:
             self.queue_depth.adjust(-1)
             if ns_gauge is not None:
                 ns_gauge.adjust(-1)
-                self.interface.note_completed(command.nsid)
             if is_user:
                 self._outstanding_user -= 1
             self.interface.release_slot()
@@ -361,7 +352,7 @@ class SsdController:
                     return
                 if blame is not None:
                     t_try = self.sim.now
-                yield self.config.media_retry_backoff_ns * attempts
+                yield MEDIA_RETRY_BACKOFF_NS * attempts
                 if blame is not None:
                     add_ns(blame, "media_retry", self.sim.now - t_try)
                 continue
@@ -404,7 +395,7 @@ class SsdController:
             self.stats.counter("host.load_program_cmds").add(
                 1, num_bytes=command.data_bytes)
             # Install the offloaded execution code (one-time, §III-C).
-            yield self.config.cpu_command_ns * 4
+            yield CPU_COMMAND_NS * 4
             self.isce.program_loaded = True
         else:  # pragma: no cover - enum is closed
             raise CommandError(f"unsupported opcode {op}")
@@ -419,9 +410,9 @@ class SsdController:
         cached = {lpn: self.cache.get(lpn) for lpn in lpns}
         if all(entry is not None for entry in cached.values()):
             self.stats.counter("host.read_cache_hits").add(1)
-            yield self.ftl.config.staged_read_ns
+            yield STAGED_READ_NS
             if blame is not None:
-                add_ns(blame, "flash_read", self.ftl.config.staged_read_ns)
+                add_ns(blame, "flash_read", STAGED_READ_NS)
             tags = []
             for sector in range(command.lba, command.lba + command.nsectors):
                 unit = cached[sector // spu]
@@ -431,9 +422,9 @@ class SsdController:
         if buffered_hit and self._fully_buffered(command.lba, command.nsectors):
             # Served entirely from the coalescing buffer: no flash access.
             self.stats.counter("host.read_buffer_hits").add(1)
-            yield self.ftl.config.staged_read_ns
+            yield STAGED_READ_NS
             if blame is not None:
-                add_ns(blame, "flash_read", self.ftl.config.staged_read_ns)
+                add_ns(blame, "flash_read", STAGED_READ_NS)
             tags = [None] * command.nsectors
             return self.write_buffer.overlay(command.lba, command.nsectors,
                                              tags)
@@ -495,7 +486,7 @@ class SsdController:
         ready = self.write_buffer.merge(lba, nsectors, tags, cause, stream)
         for unit in ready:
             self._in_transit[unit.lpn] = unit
-        merge_ns = self.ftl.config.map_update_ns * max(1, len(ready))
+        merge_ns = MAP_UPDATE_NS * max(1, len(ready))
         yield merge_ns
         if blame is not None:
             add_ns(blame, "coalescer", merge_ns)
@@ -650,7 +641,7 @@ class SsdController:
         from repro.sim.process import Interrupt
         try:
             while True:
-                yield self.config.idle_gc_interval_ns
+                yield IDLE_GC_INTERVAL_NS
                 if not self.idle:
                     continue
                 try:

@@ -53,6 +53,12 @@ DEFAULT_MAPPING_UNITS = {
 """Per-configuration FTL mapping unit (Table I: 4 KiB page mapping for the
 conventional systems, 512 B sub-page mapping for ISC-C and Check-In)."""
 
+META_AREA_SECTORS = 128
+"""Checkpoint-metadata region between the journal and the data area."""
+
+DATA_AREA_SLACK = 0.10
+"""Extra data-area sectors beyond the exact record footprint."""
+
 
 @lru_cache(maxsize=None)
 def _size_model(size_spec: str, seed: int) -> RecordSizeModel:
@@ -68,11 +74,11 @@ def _size_model(size_spec: str, seed: int) -> RecordSizeModel:
 
 @lru_cache(maxsize=1024)
 def _data_area_sectors(size_spec: str, seed: int, num_keys: int,
-                       mode: str, mapping_unit: int, compress_ratio: float,
-                       slack: float) -> int:
+                       mode: str, mapping_unit: int,
+                       compress_ratio: float) -> int:
     """Cached body of SystemConfig.data_area_sectors.
 
-    The footprint is a pure function of these seven fields, but it walks
+    The footprint is a pure function of these six fields, but it walks
     the whole key population; every ``engine_config()`` call (device spec,
     engine construction, capacity check) used to recompute it.
     """
@@ -97,7 +103,7 @@ def _data_area_sectors(size_spec: str, seed: int, num_keys: int,
                 nsectors += unit_sectors - (nsectors % unit_sectors)
             nsectors += unit_sectors - 1
         total += nsectors
-    return int(total * (1.0 + slack)) + unit_sectors
+    return int(total * (1.0 + DATA_AREA_SLACK)) + unit_sectors
 
 
 @dataclass(frozen=True)
@@ -162,7 +168,6 @@ class SystemConfig:
     """Stored journal bytes that force a checkpoint (the paper's 2 GiB /
     200-journal-file trigger, scaled)."""
 
-    trigger_poll_ns: int = 1 * MS
     final_checkpoint: bool = True
     lock_queries_during_checkpoint: bool = False
 
@@ -171,17 +176,10 @@ class SystemConfig:
     max_txn_logs: int = 256
     compress_ratio: float = 1.0
     mem_cache_records: int = 512
-    mem_hit_ns: int = 2_000
-    cpu_query_ns: int = 1_000
-    ckpt_parallelism: int = 64
-    cow_batch: int = 256
     verify_reads: bool = True
 
     # --- journal / metadata regions ------------------------------------
     journal_area_bytes: int = 16 * MIB
-    meta_area_sectors: int = 128
-    data_area_slack: float = 0.10
-    """Extra data-area sectors beyond the exact record footprint."""
 
     # --- SSD (Table I, storage configuration) ---------------------------
     channels: int = 4
@@ -191,16 +189,10 @@ class SystemConfig:
     blocks_per_plane: int = 48
     pages_per_block: int = 64
     page_size: int = 4096
-    flash_read_ns: int = 60 * US
-    flash_program_ns: int = 800 * US
-    flash_erase_ns: int = 3_500 * US
     channel_bandwidth: int = 800 * 1000 * 1000
     queue_depth: int = 64
-    interface_overhead_ns: int = 5_000
     pcie_bandwidth: int = 3_200_000_000
-    ssd_cpu_cores: int = 2
     read_cache_units: int = 4096
-    write_buffer_bytes: int = 2 * MIB
     gc_low_watermark: int = 2
     gc_high_watermark: int = 6
     max_pe_cycles: int = 3000
@@ -211,12 +203,6 @@ class SystemConfig:
 
     spare_block_budget: int = 8
     """Grown-bad blocks tolerated before the device goes read-only."""
-
-    read_reclaim_threshold: int = 100_000
-    """Reads-since-erase that make a block a read-reclaim candidate."""
-
-    media_retry_limit: int = 3
-    """Controller-level whole-command retries on media errors."""
 
     snapshot_metadata: bool = False
     """Per-persist L2P snapshots (enable for recovery-focused runs)."""
@@ -331,11 +317,7 @@ class SystemConfig:
 
     def timing(self) -> FlashTiming:
         """The NAND timing of this run's device."""
-        return FlashTiming(
-            read_ns=self.flash_read_ns,
-            program_ns=self.flash_program_ns,
-            erase_ns=self.flash_erase_ns,
-            channel_bandwidth=self.channel_bandwidth)
+        return FlashTiming(channel_bandwidth=self.channel_bandwidth)
 
     def ssd_spec(self) -> SsdSpec:
         """The full device spec for this configuration."""
@@ -346,20 +328,15 @@ class SystemConfig:
             ftl=FtlConfig(mapping_unit=self.resolved_mapping_unit,
                           gc_low_watermark=self.gc_low_watermark,
                           gc_high_watermark=self.gc_high_watermark,
-                          write_buffer_bytes=self.write_buffer_bytes,
                           max_pe_cycles=self.max_pe_cycles,
                           snapshot_metadata=self.snapshot_metadata,
                           track_op_log=self.track_op_log,
-                          spare_block_budget=self.spare_block_budget,
-                          read_reclaim_threshold=self.read_reclaim_threshold),
+                          spare_block_budget=self.spare_block_budget),
             interface=InterfaceConfig(
                 queue_depth=self.queue_depth,
-                command_overhead_ns=self.interface_overhead_ns,
                 pcie_bandwidth=self.pcie_bandwidth),
             controller=ControllerConfig(
-                cpu_cores=self.ssd_cpu_cores,
-                read_cache_units=self.read_cache_units,
-                media_retry_limit=self.media_retry_limit),
+                read_cache_units=self.read_cache_units),
             enable_isce=engine_cfg.uses_in_storage_checkpoint,
             allow_remap=engine_cfg.device_allow_remap,
             media=self.media,
@@ -375,7 +352,7 @@ class SystemConfig:
         """
         return _data_area_sectors(self.size_spec, self.seed, self.num_keys,
                                   self.mode, self.resolved_mapping_unit,
-                                  self.compress_ratio, self.data_area_slack)
+                                  self.compress_ratio)
 
     def engine_config(self) -> EngineConfig:
         """The storage-engine configuration for this run."""
@@ -383,7 +360,7 @@ class SystemConfig:
         if journal_sectors % 2:
             journal_sectors -= 1
         meta_start = journal_sectors
-        data_start = meta_start + self.meta_area_sectors
+        data_start = meta_start + META_AREA_SECTORS
         unit_sectors = self.resolved_mapping_unit // SECTOR_SIZE
         if data_start % unit_sectors:
             data_start += unit_sectors - (data_start % unit_sectors)
@@ -392,7 +369,7 @@ class SystemConfig:
             journal_lba_start=0,
             journal_sectors=journal_sectors,
             meta_lba_start=meta_start,
-            meta_sectors=self.meta_area_sectors,
+            meta_sectors=META_AREA_SECTORS,
             data_lba_start=data_start,
             data_sectors=self.data_area_sectors(),
             mapping_unit=self.resolved_mapping_unit,
@@ -400,10 +377,6 @@ class SystemConfig:
             max_txn_logs=self.max_txn_logs,
             compress_ratio=self.compress_ratio,
             mem_cache_records=self.mem_cache_records,
-            mem_hit_ns=self.mem_hit_ns,
-            cpu_query_ns=self.cpu_query_ns,
-            ckpt_parallelism=self.ckpt_parallelism,
-            cow_batch=self.cow_batch,
             lock_queries_during_checkpoint=self.lock_queries_during_checkpoint,
             verify_reads=self.verify_reads)
 

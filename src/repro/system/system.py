@@ -28,6 +28,7 @@ from typing import Any, Generator, List, Optional, Union
 from repro.common.errors import SimulationError
 from repro.common.rng import SeededRng
 from repro.common.scope import active_scope
+from repro.common.units import MS
 from repro.engine.admission import AdmissionController, AdmissionReport
 from repro.engine.checkpointer import CheckpointReport
 from repro.engine.engine import StorageEngine
@@ -51,6 +52,10 @@ from repro.workload.client import (
 from repro.workload.distributions import make_distribution
 from repro.workload.records import RecordSizeModel
 from repro.workload.ycsb import OperationGenerator, workload_by_name
+
+TRIGGER_POLL_NS = 1 * MS
+"""How often a checkpoint-trigger process checks the interval and the
+journal quota."""
 
 
 @dataclass
@@ -399,7 +404,7 @@ class KvSystem:
         last_checkpoint = self.sim.now
         try:
             while True:
-                yield view.trigger_poll_ns
+                yield TRIGGER_POLL_NS
                 if engine.checkpoint_running or engine.degraded:
                     continue
                 if len(engine.journal.active_jmt) == 0:

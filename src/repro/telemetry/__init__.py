@@ -35,7 +35,7 @@ __all__ = [
     "ADDITIVE_METRICS", "AGGREGATE", "COUNTER", "GAUGE",
     "MetricRegistry", "Probe", "Series",
     "TelemetryConfig", "TelemetrySampler", "DeviceHealthLog",
-    "SloThresholds", "TelemetryEvent", "Watchdog", "WatchdogBank",
+    "TelemetryEvent", "Watchdog", "WatchdogBank",
     "ThresholdWatchdog", "CheckpointOverdueWatchdog",
     "DegradedEntryWatchdog",
     "telemetry_records", "write_telemetry_jsonl",
@@ -50,7 +50,7 @@ _LAZY = {
     "MetricRegistry": "registry", "Probe": "registry", "Series": "registry",
     "TelemetryConfig": "sampler", "TelemetrySampler": "sampler",
     "DeviceHealthLog": "health",
-    "SloThresholds": "watchdog", "TelemetryEvent": "watchdog",
+    "TelemetryEvent": "watchdog",
     "Watchdog": "watchdog", "WatchdogBank": "watchdog",
     "ThresholdWatchdog": "watchdog",
     "CheckpointOverdueWatchdog": "watchdog",

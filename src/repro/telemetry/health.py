@@ -4,7 +4,7 @@ Real SSDs expose a SMART / NVMe health-information log: wear levelling
 spread, grown-bad blocks, spare capacity remaining, media error rates and
 a projected lifetime.  :class:`DeviceHealthLog` reproduces that surface
 for the simulated device: the telemetry sampler asks it for a *health
-frame* periodically (every ``health_every``-th sample) and for one final
+frame* periodically (every ``HEALTH_EVERY``-th sample) and for one final
 :meth:`report` at end of run.
 
 Projected lifetime follows the paper's Equation (1) shape: with ``BEC``
@@ -22,16 +22,19 @@ from typing import Any, Deque, Dict, List, Optional
 from repro.telemetry import names
 from repro.telemetry.names import safe_ratio
 
+MAX_HEALTH_FRAMES = 1024
+"""Health-frame ring capacity."""
+
 
 class DeviceHealthLog:
     """Periodic SMART-ish health frames for one simulated device."""
 
     def __init__(self, ssd: Any, max_pe_cycles: int,
-                 spare_block_budget: int, max_frames: int = 1024) -> None:
+                 spare_block_budget: int) -> None:
         self.ssd = ssd
         self.max_pe_cycles = max_pe_cycles
         self.spare_block_budget = spare_block_budget
-        self.frames: Deque[Dict[str, Any]] = deque(maxlen=max_frames)
+        self.frames: Deque[Dict[str, Any]] = deque(maxlen=MAX_HEALTH_FRAMES)
 
     # ------------------------------------------------------------------
     def frame(self, t_ns: int) -> Dict[str, Any]:

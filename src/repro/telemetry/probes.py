@@ -24,7 +24,11 @@ from typing import Any
 from repro.telemetry import names
 from repro.telemetry.health import DeviceHealthLog
 from repro.telemetry.registry import AGGREGATE, MetricRegistry
-from repro.telemetry.sampler import TelemetryConfig, TelemetrySampler
+from repro.telemetry.sampler import (
+    MAX_POINTS,
+    TelemetryConfig,
+    TelemetrySampler,
+)
 from repro.telemetry.watchdog import (
     CheckpointOverdueWatchdog,
     DegradedEntryWatchdog,
@@ -35,6 +39,27 @@ from repro.telemetry.watchdog import (
 ADDITIVE_METRICS = ("engine.ops", "checkpoint.count",
                     "journal.pressure_bytes")
 """Per-tenant series of these metrics sum to the aggregate series."""
+
+SLO_JOURNAL_OCCUPANCY = 0.90
+"""Active-half occupancy fraction that counts as saturated."""
+
+SLO_CHECKPOINT_OVERDUE_FACTOR = 2.0
+"""Multiple of the checkpoint interval after which a tenant with
+journal content is overdue."""
+
+SLO_GC_FREE_BLOCKS = 2.0
+"""Free-block level at/below which GC is starving (raised to the
+urgent watermark when that is higher)."""
+
+SLO_GC_CONSECUTIVE = 3
+"""Consecutive starving samples before the GC watchdog fires."""
+
+SLO_QUEUE_DEPTH = 64.0
+"""Admission-queue level that counts as a stall (capped at the
+device's queue depth)."""
+
+SLO_QUEUE_CONSECUTIVE = 3
+"""Consecutive pinned samples before the stall watchdog fires."""
 
 
 def _tenant_probes(registry: MetricRegistry, system: Any,
@@ -164,29 +189,27 @@ def build_registry(system: Any) -> MetricRegistry:
     return registry
 
 
-def build_watchdogs(system: Any, config: TelemetryConfig) -> WatchdogBank:
+def build_watchdogs(system: Any) -> WatchdogBank:
     """The stock SLO watchdog bank for one system."""
-    thresholds = config.thresholds
     bank = WatchdogBank()
     bank.add(ThresholdWatchdog(
         "gc_starvation", "ftl.free_blocks",
-        threshold=float(max(thresholds.gc_free_blocks,
+        threshold=float(max(SLO_GC_FREE_BLOCKS,
                             system.config.gc_low_watermark)),
-        above=False, consecutive=thresholds.gc_consecutive))
+        above=False, consecutive=SLO_GC_CONSECUTIVE))
     bank.add(ThresholdWatchdog(
         "queue_stall", "host.queue_depth",
-        threshold=min(thresholds.queue_depth,
-                      float(system.config.queue_depth)),
-        consecutive=thresholds.queue_consecutive))
+        threshold=min(SLO_QUEUE_DEPTH, float(system.config.queue_depth)),
+        consecutive=SLO_QUEUE_CONSECUTIVE))
     bank.add(DegradedEntryWatchdog())
     for tenant in system.tenants:
         view = tenant.view
         bank.add(ThresholdWatchdog(
             "journal_saturation", "journal.occupancy",
-            threshold=thresholds.journal_occupancy, tenant=tenant.name))
+            threshold=SLO_JOURNAL_OCCUPANCY, tenant=tenant.name))
         bank.add(CheckpointOverdueWatchdog(
             tenant=tenant.name,
-            overdue_ns=int(thresholds.checkpoint_overdue_factor
+            overdue_ns=int(SLO_CHECKPOINT_OVERDUE_FACTOR
                            * view.checkpoint_interval_ns)))
         admission = getattr(tenant, "admission", None)
         if admission is not None:
@@ -229,7 +252,7 @@ def register_replication_probes(sampler: TelemetrySampler, shipper: Any,
         if probe.key not in sampler.series:
             sampler.series[probe.key] = Series(
                 name=probe.name, layer=probe.layer, kind=probe.kind,
-                tenant=probe.tenant, maxlen=sampler.config.max_points)
+                tenant=probe.tenant, maxlen=MAX_POINTS)
     sampler.watchdogs.add(ThresholdWatchdog(
         "replication_lag", names.REPL_SHIP_LAG_OPS,
         threshold=float(max_lag_ops), consecutive=2))
@@ -242,8 +265,7 @@ def build_sampler(system: Any, config: TelemetryConfig,
     health = DeviceHealthLog(system.ssd,
                              max_pe_cycles=system.config.max_pe_cycles,
                              spare_block_budget=system.config
-                             .spare_block_budget,
-                             max_frames=config.max_health_frames)
-    watchdogs = build_watchdogs(system, config)
+                             .spare_block_budget)
+    watchdogs = build_watchdogs(system)
     return TelemetrySampler(system.sim, registry, config,
                             health=health, watchdogs=watchdogs, label=label)

@@ -3,7 +3,7 @@
 Every ``interval_ns`` of *simulated* time the sampler reads each probe in
 the :class:`~repro.telemetry.registry.MetricRegistry` into ring-buffered
 :class:`~repro.telemetry.registry.Series`, records a SMART health frame
-(every ``health_every``-th tick) and evaluates the SLO watchdog bank.
+(every :data:`HEALTH_EVERY`-th tick) and evaluates the SLO watchdog bank.
 
 Zero overhead when disabled: no sampler is constructed at all, and a
 sampled run only ever *reads* state — counters, gauges, wear tables — so
@@ -14,7 +14,7 @@ with the same seed are byte-identical (CI asserts this).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from repro.common.errors import ConfigError
@@ -22,7 +22,13 @@ from repro.common.units import MS
 from repro.sim.process import Interrupt, Process, spawn
 from repro.telemetry.health import DeviceHealthLog
 from repro.telemetry.registry import MetricRegistry, Series
-from repro.telemetry.watchdog import SloThresholds, TelemetryEvent, WatchdogBank
+from repro.telemetry.watchdog import TelemetryEvent, WatchdogBank
+
+MAX_POINTS = 4096
+"""Ring-buffer capacity per series (bounded memory on long runs)."""
+
+HEALTH_EVERY = 5
+"""Record a SMART health frame every this many samples."""
 
 
 @dataclass(frozen=True)
@@ -32,25 +38,9 @@ class TelemetryConfig:
     interval_ns: int = 1 * MS
     """Simulated time between samples."""
 
-    max_points: int = 4096
-    """Ring-buffer capacity per series (bounded memory on long runs)."""
-
-    health_every: int = 5
-    """Record a SMART health frame every this many samples."""
-
-    max_health_frames: int = 1024
-    """Health-frame ring capacity."""
-
-    thresholds: SloThresholds = field(default_factory=SloThresholds)
-    """SLO watchdog thresholds."""
-
     def __post_init__(self) -> None:
         if self.interval_ns < 1:
             raise ConfigError("telemetry interval must be >= 1 ns")
-        if self.max_points < 2:
-            raise ConfigError("telemetry needs >= 2 points per series")
-        if self.health_every < 1:
-            raise ConfigError("health_every must be >= 1")
 
 
 class TelemetrySampler:
@@ -72,7 +62,7 @@ class TelemetrySampler:
         for probe in registry:
             self.series[probe.key] = Series(
                 name=probe.name, layer=probe.layer, kind=probe.kind,
-                tenant=probe.tenant, maxlen=self.config.max_points)
+                tenant=probe.tenant, maxlen=MAX_POINTS)
         self._process: Optional[Process] = None
 
     # ------------------------------------------------------------------
@@ -108,7 +98,7 @@ class TelemetrySampler:
             self.series[key].append(t_ns, value)
         self.samples += 1
         if self.health is not None and \
-                self.samples % self.config.health_every == 0:
+                self.samples % HEALTH_EVERY == 0:
             self.health.record(t_ns)
         edges = self.watchdogs.evaluate(t_ns, values)
         recorder = self.sim.flightrec

@@ -25,38 +25,13 @@ The five stock conditions (wired by :mod:`repro.telemetry.probes`):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.telemetry.registry import AGGREGATE
 
 FIRED = "fired"
 CLEARED = "cleared"
-
-
-@dataclass(frozen=True)
-class SloThresholds:
-    """Default thresholds for the stock watchdog set."""
-
-    journal_occupancy: float = 0.90
-    """Active-half occupancy fraction that counts as saturated."""
-
-    checkpoint_overdue_factor: float = 2.0
-    """Multiple of the checkpoint interval after which a tenant with
-    journal content is overdue."""
-
-    gc_free_blocks: float = 2.0
-    """Free-block level at/below which GC is starving (the urgent
-    watermark by default)."""
-
-    gc_consecutive: int = 3
-    """Consecutive starving samples before the GC watchdog fires."""
-
-    queue_depth: float = 64.0
-    """Admission-queue level that counts as a stall (the queue cap)."""
-
-    queue_consecutive: int = 3
-    """Consecutive pinned samples before the stall watchdog fires."""
 
 
 @dataclass(frozen=True)

@@ -44,6 +44,16 @@ from repro.common.rng import SeededRng
 ARRIVAL_PROCESSES = ("poisson", "bursts")
 RATE_SCHEDULES = ("constant", "diurnal", "flash-crowd")
 
+DIURNAL_PERIOD_NS = 40 * MS
+"""One full day/night cycle of the diurnal schedule, scaled into
+simulated time."""
+
+BURST_SHAPE = 1.4
+"""Bounded-Pareto tail index of burst sizes; smaller = heavier tail."""
+
+BURST_GAP_NS = 5_000
+"""Intra-burst inter-arrival gap (back-to-back requests)."""
+
 
 @dataclass(frozen=True)
 class ArrivalSpec:
@@ -59,9 +69,6 @@ class ArrivalSpec:
     """``constant``, ``diurnal`` or ``flash-crowd``."""
 
     # --- diurnal schedule ---------------------------------------------
-    diurnal_period_ns: int = 40 * MS
-    """One full day/night cycle, scaled into simulated time."""
-
     diurnal_amplitude: float = 0.6
     """Rate swings between ``(1 - a)`` and ``(1 + a)`` times the base."""
 
@@ -72,13 +79,8 @@ class ArrivalSpec:
     """Rate inside the crowd window, as a multiple of the base rate."""
 
     # --- burst process -------------------------------------------------
-    burst_shape: float = 1.4
-    """Bounded-Pareto tail index; smaller = heavier burst-size tail."""
-
     burst_min_ops: int = 4
     burst_max_ops: int = 64
-    burst_gap_ns: int = 5_000
-    """Intra-burst inter-arrival gap (back-to-back requests)."""
 
     def __post_init__(self) -> None:
         if self.process not in ARRIVAL_PROCESSES:
@@ -91,24 +93,20 @@ class ArrivalSpec:
             raise ConfigError("rate_ops_per_sec must be positive")
         if not 0.0 <= self.diurnal_amplitude < 1.0:
             raise ConfigError("diurnal_amplitude must be in [0, 1)")
-        if self.diurnal_period_ns < 1 or self.crowd_duration_ns < 0:
-            raise ConfigError("schedule windows must be positive")
+        if self.crowd_duration_ns < 0:
+            raise ConfigError("crowd_duration_ns must be >= 0")
         if self.crowd_multiplier < 1.0:
             raise ConfigError("crowd_multiplier must be >= 1")
-        if self.burst_shape <= 0.0:
-            raise ConfigError("burst_shape must be positive")
         if not 1 <= self.burst_min_ops <= self.burst_max_ops:
             raise ConfigError("need 1 <= burst_min_ops <= burst_max_ops")
-        if self.burst_gap_ns < 1:
-            raise ConfigError("burst_gap_ns must be >= 1")
 
     # ------------------------------------------------------------------
     def rate_at(self, t_ns: float) -> float:
         """Instantaneous offered rate (ops/s) at simulated time ``t_ns``."""
         base = self.rate_ops_per_sec
         if self.schedule == "diurnal":
-            phase = 2.0 * math.pi * (t_ns % self.diurnal_period_ns) \
-                / self.diurnal_period_ns
+            phase = 2.0 * math.pi * (t_ns % DIURNAL_PERIOD_NS) \
+                / DIURNAL_PERIOD_NS
             return base * (1.0 + self.diurnal_amplitude * math.sin(phase))
         if self.schedule == "flash-crowd":
             inside = self.crowd_start_ns <= t_ns \
@@ -130,7 +128,7 @@ class ArrivalSpec:
         if self.process != "bursts":
             return 1.0
         low, high, alpha = (float(self.burst_min_ops),
-                            float(self.burst_max_ops), self.burst_shape)
+                            float(self.burst_max_ops), BURST_SHAPE)
         if low == high:
             return low
         if abs(alpha - 1.0) < 1e-9:
@@ -181,10 +179,10 @@ def arrival_times(spec: ArrivalSpec, rng: SeededRng,
         t += rng.expovariate(center_lam)
         if not constant and rng.random() * peak > spec.rate_at(t):
             continue
-        size = bounded_pareto(rng, spec.burst_shape,
+        size = bounded_pareto(rng, BURST_SHAPE,
                               spec.burst_min_ops, spec.burst_max_ops)
         start = int(t)
-        raw.extend(start + i * spec.burst_gap_ns for i in range(size))
+        raw.extend(start + i * BURST_GAP_NS for i in range(size))
     # Long bursts can overlap the next center; restore global time order
     # before truncating to the requested budget.
     raw.sort()

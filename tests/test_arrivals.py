@@ -22,6 +22,7 @@ from repro.common.errors import ConfigError
 from repro.common.rng import SeededRng
 from repro.common.units import MS, SEC
 from repro.workload.arrivals import (
+    DIURNAL_PERIOD_NS,
     ArrivalSpec,
     arrival_times,
     bounded_pareto,
@@ -109,7 +110,7 @@ class TestRateFidelity:
         spec = ArrivalSpec(rate_ops_per_sec=100_000.0, schedule="diurnal",
                            diurnal_amplitude=0.6)
         peak = spec.peak_rate()
-        for t in range(0, spec.diurnal_period_ns, spec.diurnal_period_ns // 16):
+        for t in range(0, DIURNAL_PERIOD_NS, DIURNAL_PERIOD_NS // 16):
             rate = spec.rate_at(t)
             assert 0.0 < rate <= peak + 1e-9
 

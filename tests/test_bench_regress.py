@@ -26,15 +26,16 @@ import regress  # noqa: E402  (benchmarks/regress.py)
 def artifact(tmp_path_factory):
     # Bench runs always carry blame ledgers (repro bench does the same)
     # so the artifact includes the gated ckpt_blame_p99_share metric,
-    # and attach the probe-backed companion metrics (knee, warm-replica
-    # RTO) — fixed stand-ins here, since the real sweeps are
+    # and attach the companion metrics (knee, warm-replica RTO, kernel
+    # events per op) — fixed stand-ins here, since the real probes are
     # benchmark-scale work.
     result = run_config(tiny_config(blame=True))
     bench = {"mode": "checkin", "workload": "A", "threads": 4,
              "queries": 1_500, "distribution": "zipfian"}
     art = bench_artifact(result, bench, stamp="20260101T000000Z",
                          extra_metrics={"knee_sustainable_ops": 48_000.0,
-                                        "rto_warm_replica_ns": 550_000.0})
+                                        "rto_warm_replica_ns": 550_000.0,
+                                        "events_per_op": 10.0})
     path = tmp_path_factory.mktemp("bench") / "BENCH_base.json"
     write_bench_artifact(str(path), art)
     return path
@@ -106,6 +107,14 @@ class TestGate:
         current = mutate(artifact, tmp_path, operations=1.001)
         assert regress.main([str(current),
                              "--baseline", str(artifact)]) == 1
+
+    def test_events_per_op_must_match_exactly(self, artifact, tmp_path,
+                                              capsys):
+        """Kernel work per op is deterministic: any growth fails."""
+        current = mutate(artifact, tmp_path, events_per_op=1.001)
+        assert regress.main([str(current),
+                             "--baseline", str(artifact)]) == 1
+        assert "events_per_op" in capsys.readouterr().err
 
     def test_config_hash_mismatch_refused(self, artifact, tmp_path,
                                           capsys):

@@ -4,6 +4,11 @@ import pytest
 
 from repro.checkin.format import LogType
 from repro.engine import CheckpointPolicy, CheckpointReport, cow_entry_for
+from repro.engine.checkpointer import (
+    CKPT_PARALLELISM,
+    COW_BATCH,
+    METADATA_BYTES_PER_ENTRY,
+)
 from repro.engine.records import JournalEntry
 
 
@@ -65,7 +70,7 @@ class TestCheckpointReport:
 
 class TestCheckpointPolicy:
     def test_defaults(self):
-        policy = CheckpointPolicy()
-        assert policy.parallelism >= 1
-        assert policy.cow_batch >= 1
-        assert policy.metadata_bytes_per_entry > 0
+        assert CheckpointPolicy().metadata_lba == 0
+        assert CKPT_PARALLELISM >= 1
+        assert COW_BATCH >= 1
+        assert METADATA_BYTES_PER_ENTRY > 0

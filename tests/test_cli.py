@@ -53,7 +53,7 @@ class TestCommands:
         assert "fig8a" in out and "table1" in out
 
     def test_table1(self, capsys):
-        assert main(["table1"]) == 0
+        assert main(["run", "table1"]) == 0
         assert "Flash topology" in capsys.readouterr().out
 
     def test_bench_small(self, capsys):
@@ -62,6 +62,7 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "throughput_qps" in out
         assert "checkpoints" in out
+        assert "events/op]" in out
         assert "bench artifact" not in out
 
     def test_media_sweep_prints_small_rates(self, capsys):

@@ -4,6 +4,8 @@ These verify every registered experiment runs end to end and produces a
 coherent result object; the benchmarks do the real (paper-shape) runs.
 """
 
+import re
+
 import pytest
 
 from repro.experiments import paper_config
@@ -41,6 +43,14 @@ class TestRegistry:
     def test_table1_renders(self):
         text = run_experiment("table1", MICRO)
         assert "Flash topology" in text
+        rows = dict(re.split(r"\s{2,}", line.strip())[1:3]
+                    for line in text.splitlines()
+                    if line.startswith(("DBMS", "Host", "Storage")))
+        assert rows["Flash timing"] == \
+            "read 60.00 us, program 800.00 us, erase 3.50 ms"
+        assert rows["Embedded processors"] == "2"
+        assert rows["Data cache"].endswith("/ 2.0 MiB staging")
+        assert rows["Channel bandwidth"] == "800 MB/s"
 
 
 class TestMicroRuns:

@@ -175,10 +175,11 @@ class TestOpsPerSecMeasurement:
         assert metrics["ops_per_sec"] > 0
         assert metrics["ops_per_sec"] == pytest.approx(result.ops_per_sec)
         # knee_sustainable_ops and rto_warm_replica_ns come from their
-        # own sweeps, not a single run, and are attached to the
+        # own sweeps, and events_per_op from the bench command's
+        # simulator, not the run result; all three are attached to the
         # artifact via extra_metrics.
         assert set(GATED_METRICS) - set(metrics) == {
-            "knee_sustainable_ops", "rto_warm_replica_ns"}
+            "knee_sustainable_ops", "rto_warm_replica_ns", "events_per_op"}
         assert set(metrics) <= set(GATED_METRICS)
 
     def test_regress_gate_covers_ops_per_sec(self):

@@ -15,7 +15,13 @@ from repro.common.errors import (
 )
 from repro.flash import FlashGeometry, FlashTiming
 from repro.flash.array import FlashArray
-from repro.flash.media import MediaErrorConfig, MediaErrorModel, quiet_model
+from repro.flash.media import (
+    READ_DISTURB_SCALE,
+    READ_DISTURB_THRESHOLD,
+    MediaErrorConfig,
+    MediaErrorModel,
+    quiet_model,
+)
 from repro.ftl import FtlConfig
 from repro.sim import Simulator, spawn
 from repro.ssd import (
@@ -132,7 +138,7 @@ class TestMediaErrorModel:
         base = model.read_uecc_probability(0, 0, 0)
         aged = model.read_uecc_probability(0, 10**12, 0)
         disturbed = model.read_uecc_probability(
-            0, 0, config.read_disturb_threshold + config.read_disturb_scale)
+            0, 0, READ_DISTURB_THRESHOLD + READ_DISTURB_SCALE)
         assert aged > base
         assert disturbed > base
 
